@@ -23,6 +23,7 @@ import numpy as np
 from ..arrays.pattern import ALL_AP, ALL_P
 from ..arrays.victim import VictimAnalysis
 from ..device.mtj import MTJDevice, MTJState
+from ..device.retention import elementwise, flip_rate
 from ..errors import ParameterError
 from ..validation import require_positive
 
@@ -47,6 +48,7 @@ class ReadDisturbAnalysis:
 
         The read polarity is taken as the one that destabilizes ``state``
         (worst case). Returns 0 if the read current exceeds Ic.
+        Vectorized over ``hz_stray``.
         """
         require_positive(read_voltage, "read_voltage")
         params = self.device.params
@@ -56,17 +58,19 @@ class ReadDisturbAnalysis:
         ic = self.device.ic(direction, hz_stray)
         delta = self.device.delta(state, hz_stray)
         tilt = 1.0 - i_read / ic
-        if tilt <= 0.0:
-            return 0.0
-        return delta * tilt * tilt
+        result = np.where(tilt > 0.0, delta * tilt * tilt, 0.0)
+        return float(result) if result.ndim == 0 else result
 
     def disturb_probability(self, state, read_voltage, t_read=10e-9,
                             hz_stray=0.0):
-        """Probability that one read flips ``state``."""
+        """Probability that one read flips ``state``.
+
+        Vectorized over ``hz_stray``.
+        """
         require_positive(t_read, "t_read")
         delta_eff = self.effective_delta(state, read_voltage, hz_stray)
-        rate = self.device.params.attempt_frequency * math.exp(-delta_eff)
-        return -math.expm1(-rate * t_read)
+        rate = flip_rate(delta_eff, self.device.params.attempt_frequency)
+        return -elementwise(math.expm1, -rate * t_read)
 
     def reads_to_failure(self, state, read_voltage, t_read=10e-9,
                          hz_stray=0.0, budget=1e-9):

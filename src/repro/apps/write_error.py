@@ -51,7 +51,10 @@ class WriteErrorModel:
         self.device = device
 
     def _angle_rate(self, vp, hz_stray, initial_state):
-        """The exponential angle-growth rate ``r`` [1/s]; <= 0 below Ic."""
+        """The exponential angle-growth rate ``r`` [1/s]; <= 0 below Ic.
+
+        Vectorized over ``hz_stray``.
+        """
         direction = ("AP->P" if initial_state is MTJState.AP
                      else "P->AP")
         ic = self.device.ic(direction, hz_stray)
@@ -70,20 +73,20 @@ class WriteErrorModel:
         """Write-error rate for a pulse of ``t_pulse`` seconds at ``vp``.
 
         Returns 1.0 below the switching threshold (the write never
-        completes by precession). Vectorized over ``t_pulse``.
+        completes by precession). Vectorized over ``t_pulse`` and
+        ``hz_stray`` (broadcast together).
         """
         require_positive(vp, "vp")
         t_pulse = np.asarray(t_pulse, dtype=float)
         if np.any(t_pulse <= 0):
             raise ParameterError("t_pulse must be > 0")
         rate = self._angle_rate(vp, hz_stray, initial_state)
-        if rate <= 0.0:
-            result = np.ones_like(t_pulse)
-            return float(result) if result.ndim == 0 else result
         delta = self.device.params.delta0
+        # Clamping the rate keeps exp() of below-threshold entries from
+        # overflowing; np.where sets those entries to 1.
         exponent = (delta * (math.pi / 2.0) ** 2
-                    * np.exp(-2.0 * rate * t_pulse))
-        result = -np.expm1(-exponent)
+                    * np.exp(-2.0 * np.maximum(rate, 0.0) * t_pulse))
+        result = np.where(rate > 0.0, -np.expm1(-exponent), 1.0)
         return float(result) if result.ndim == 0 else result
 
     def pulse_for_wer(self, target_wer, vp, hz_stray=0.0,
@@ -105,9 +108,10 @@ class WriteErrorModel:
         needed = -math.log1p(-target_wer)
         argument = delta * (math.pi / 2.0) ** 2 / needed
         if argument <= 1.0:
-            # Already below target at infinitesimal pulses (huge WER
-            # target) — not meaningful, report the shortest sensible pulse.
-            return 0.0
+            raise ParameterError(
+                f"target_wer={target_wer} is met without any pulse "
+                f"(Delta0 (pi/2)^2 / -ln(1 - target_wer) = {argument:.3g}"
+                " <= 1); no pulse width is meaningful")
         return math.log(argument) / (2.0 * rate)
 
     def mean_switching_time(self, vp, hz_stray=0.0,

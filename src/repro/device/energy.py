@@ -60,6 +60,7 @@ def delta_with_stray(delta0, h_stray_over_hk, state):
 
     ``h`` must lie in (-1, 1): beyond that the state's barrier has collapsed
     (the paper's "locked device" regime) and Eq. 5 no longer applies.
+    Vectorized over ``h_stray_over_hk``.
     """
     require_positive(delta0, "delta0")
     require_in_range(h_stray_over_hk, "h_stray_over_hk", -1.0, 1.0,

@@ -14,6 +14,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..constants import (
     ATTEMPT_FREQUENCY,
     BOLTZMANN,
@@ -31,6 +33,13 @@ from .resistance import ResistanceModel
 from .retention import retention_time
 from .switching import SunModel, critical_current, intrinsic_critical_current
 from .thermal import ThermalModel
+
+
+def _field(hz_stray):
+    """A stray field [A/m] as a float, or as a float array if it is one."""
+    if np.ndim(hz_stray) == 0:
+        return float(hz_stray)
+    return np.asarray(hz_stray, dtype=float)
 
 
 class MTJState(enum.Enum):
@@ -242,11 +251,12 @@ class MTJDevice:
         """Critical current [A] for ``direction`` under ``hz_stray`` [A/m].
 
         ``direction`` is ``"P->AP"`` or ``"AP->P"`` (paper Eq. 2).
+        Vectorized over ``hz_stray``.
         """
         p = self.params
         temp = p.temperature if temperature is None else temperature
         hk = self._thermal.hk_at(p.hk, temp)
-        return critical_current(self.ic0(temp), float(hz_stray) / hk,
+        return critical_current(self.ic0(temp), _field(hz_stray) / hk,
                                 direction)
 
     def sun_model(self):
@@ -278,7 +288,7 @@ class MTJDevice:
         """Thermal stability factor of ``state`` under ``hz_stray`` [A/m].
 
         Applies the paper's Eq. 5 on top of the thermal scaling of
-        ``Delta0`` and ``Hk``.
+        ``Delta0`` and ``Hk``. Vectorized over ``hz_stray``.
         """
         if not isinstance(state, MTJState):
             raise ParameterError(f"state must be MTJState, got {state!r}")
@@ -286,7 +296,7 @@ class MTJDevice:
         temp = p.temperature if temperature is None else temperature
         delta0 = self._thermal.delta0_at(p.delta0, temp)
         hk = self._thermal.hk_at(p.hk, temp)
-        return delta_with_stray(delta0, float(hz_stray) / hk, state.value)
+        return delta_with_stray(delta0, _field(hz_stray) / hk, state.value)
 
     def retention_time(self, state, hz_stray=0.0, temperature=None):
         """Mean retention time [s] of ``state`` under ``hz_stray``."""

@@ -27,11 +27,28 @@ SECONDS_PER_YEAR = 365.25 * 24.0 * 3600.0
 FIT_HOURS = 1.0e9
 
 
+def elementwise(fn, x):
+    """``fn``, a :mod:`math` function, of a scalar ``x`` or of every
+    element of an ndarray ``x``.
+
+    numpy's SIMD ``exp`` and ``expm1`` can differ from :mod:`math` in the
+    last bit. The models that accept arrays go through this so that an
+    array call returns exactly its elementwise scalar calls.
+    """
+    if np.ndim(x) == 0:
+        return fn(x)
+    return np.array([fn(v) for v in x.ravel().tolist()],
+                    dtype=float).reshape(x.shape)
+
+
 def flip_rate(delta, attempt_frequency=ATTEMPT_FREQUENCY):
-    """Spontaneous flip rate [1/s] for a barrier ``delta`` [kB*T units]."""
+    """Spontaneous flip rate [1/s] for a barrier ``delta`` [kB*T units].
+
+    Vectorized over ``delta`` (numpy arrays allowed).
+    """
     require_non_negative(delta, "delta")
     require_positive(attempt_frequency, "attempt_frequency")
-    return attempt_frequency * math.exp(-delta)
+    return attempt_frequency * elementwise(math.exp, -delta)
 
 
 def retention_time(delta, attempt_frequency=ATTEMPT_FREQUENCY):
@@ -47,9 +64,8 @@ def retention_failure_probability(delta, interval,
     """
     require_positive(interval, "interval")
     require_positive(attempt_frequency, "attempt_frequency")
-    delta_arr = np.asarray(delta, dtype=float)
-    if np.any(delta_arr < 0):
-        raise ValueError("delta must be >= 0")
+    delta_arr = require_non_negative(np.asarray(delta, dtype=float),
+                                     "delta")
     rate = attempt_frequency * np.exp(-delta_arr)
     prob = -np.expm1(-rate * interval)
     if np.isscalar(delta) or np.asarray(delta).ndim == 0:

@@ -69,7 +69,8 @@ def critical_current(ic0, h_stray_over_hk, direction):
     """Critical current [A] for a switching ``direction`` under stray field.
 
     ``direction`` is ``"P->AP"`` or ``"AP->P"``. The sign rule follows the
-    paper's Eq. 2: '+' for P->AP, '-' for AP->P.
+    paper's Eq. 2: '+' for P->AP, '-' for AP->P. Vectorized over
+    ``h_stray_over_hk``.
     """
     require_positive(ic0, "ic0")
     require_in_range(h_stray_over_hk, "h_stray_over_hk", -1.0, 1.0,
@@ -154,7 +155,8 @@ class SunModel:
         """``Im = Vp / R(Vp) - Ic`` [A] for a write pulse of ``vp`` volts.
 
         ``initial_state`` selects the resistance branch: an AP->P write
-        sees ``R_AP(Vp)``, a P->AP write sees ``R_P``.
+        sees ``R_AP(Vp)``, a P->AP write sees ``R_P``. Vectorized over
+        ``ic``.
         """
         require_positive(vp, "vp")
         require_positive(ic, "ic")

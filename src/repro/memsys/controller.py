@@ -8,7 +8,9 @@ vectorized Monte-Carlo engine can draw from.
 Because the inter-cell field of the 3x3 neighborhood collapses onto the
 25 symmetry classes ``(n_direct_AP, n_diagonal_AP)`` (paper Fig. 4a),
 every mechanism reduces to a 2 x 5 x 5 lookup table — (stored/target
-bit, direct count, diagonal count) — evaluated once per configuration:
+bit, direct count, diagonal count) — evaluated once per configuration.
+Each table is one array evaluation per bit over the (5, 5) grid of class
+fields, and equals the per-class scalar model calls bit for bit:
 
 * write-error probability from :class:`~repro.apps.write_error.\
 WriteErrorModel` (per write polarity, with the pulse width of each
@@ -186,24 +188,19 @@ class ArrayController:
     def _build_tables(self, wem):
         rda = ReadDisturbAnalysis(self.device)
         f0 = self.device.params.attempt_frequency
+        hz = self.class_field(*np.indices((5, 5)))   # [nd, ng]
         self.wer_table = np.empty((2, 5, 5))
         self.disturb_table = np.empty((2, 5, 5))
         self.retention_rate_table = np.empty((2, 5, 5))
         for bit in (0, 1):
             state = MTJState.from_bit(bit)
-            initial = state.opposite   # writing `bit` starts from there
-            for nd in range(5):
-                for ng in range(5):
-                    hz = float(self.class_field(nd, ng))
-                    self.wer_table[bit, nd, ng] = wem.wer(
-                        self.t_pulse[bit], self.vp, hz,
-                        initial_state=initial)
-                    self.disturb_table[bit, nd, ng] = (
-                        rda.disturb_probability(
-                            state, self.read_voltage, self.t_read, hz))
-                    self.retention_rate_table[bit, nd, ng] = flip_rate(
-                        self.device.delta(state, hz, self.temperature),
-                        f0)
+            # Writing `bit` starts from the opposite state.
+            self.wer_table[bit] = wem.wer(self.t_pulse[bit], self.vp, hz,
+                                          initial_state=state.opposite)
+            self.disturb_table[bit] = rda.disturb_probability(
+                state, self.read_voltage, self.t_read, hz)
+            self.retention_rate_table[bit] = flip_rate(
+                self.device.delta(state, hz, self.temperature), f0)
         if self.sense is not None:
             # Sense-margin read gating: a misread corrupts the sensed
             # word exactly like a disturbed cell, so the per-state
@@ -243,16 +240,12 @@ class ArrayController:
         configurations never touch it.
         """
         rda = ReadDisturbAnalysis(self.device)
-        table = np.empty((2, 5, 5))
-        for bit in (0, 1):
-            state = MTJState.from_bit(bit)
-            for nd in range(5):
-                for ng in range(5):
-                    hz = float(self.class_field(nd, ng))
-                    table[bit, nd, ng] = rda.disturb_probability(
-                        state, 0.5 * self.read_voltage, self.t_read,
-                        hz)
-        return table
+        hz = self.class_field(*np.indices((5, 5)))
+        return np.stack([
+            rda.disturb_probability(MTJState.from_bit(bit),
+                                    0.5 * self.read_voltage, self.t_read,
+                                    hz)
+            for bit in (0, 1)])
 
     def half_select_probability(self, stored_bits, nd, ng, exposures):
         """Per-cell flip probability after ``exposures`` half-selects

@@ -4,6 +4,10 @@ Small guard functions used at public API boundaries. They raise
 :class:`repro.errors.ParameterError` with a message that names the offending
 parameter, so user mistakes fail fast and clearly instead of producing NaNs
 deep inside a solver.
+
+The finiteness and range guards also accept a real ndarray and then hold
+their rule for every element; the message names the first element that
+breaks it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .errors import ParameterError
 def require_positive(value, name):
     """Return ``value`` if it is a finite number > 0, else raise."""
     require_finite(value, name)
+    if isinstance(value, np.ndarray):
+        return _require_elements(value, value > 0, name, "must be > 0")
     if value <= 0:
         raise ParameterError(f"{name} must be > 0, got {value!r}")
     return value
@@ -27,6 +33,8 @@ def require_positive(value, name):
 def require_non_negative(value, name):
     """Return ``value`` if it is a finite number >= 0, else raise."""
     require_finite(value, name)
+    if isinstance(value, np.ndarray):
+        return _require_elements(value, value >= 0, name, "must be >= 0")
     if value < 0:
         raise ParameterError(f"{name} must be >= 0, got {value!r}")
     return value
@@ -34,6 +42,12 @@ def require_non_negative(value, name):
 
 def require_finite(value, name):
     """Return ``value`` if it is a finite real number, else raise."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise ParameterError(
+                f"{name} must hold real numbers, got dtype {value.dtype}")
+        return _require_elements(value, np.isfinite(value), name,
+                                 "must be finite")
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
@@ -45,14 +59,25 @@ def require_in_range(value, name, low, high, inclusive=True):
     """Return ``value`` if ``low <= value <= high`` (or strict), else raise."""
     require_finite(value, name)
     if inclusive:
-        ok = low <= value <= high
+        ok = (low <= value) & (value <= high)
         bounds = f"[{low}, {high}]"
     else:
-        ok = low < value < high
+        ok = (low < value) & (value < high)
         bounds = f"({low}, {high})"
+    if isinstance(value, np.ndarray):
+        return _require_elements(value, ok, name, f"must be in {bounds}")
     if not ok:
         raise ParameterError(f"{name} must be in {bounds}, got {value!r}")
     return value
+
+
+def _require_elements(values, ok, name, rule):
+    """Return ``values`` if ``ok`` holds everywhere, else raise naming
+    the first element where it does not."""
+    if not ok.all():
+        bad = values[~ok].flat[0].item()
+        raise ParameterError(f"{name} {rule}, got {bad!r}")
+    return values
 
 
 def require_fraction(value, name):

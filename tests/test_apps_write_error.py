@@ -82,6 +82,18 @@ class TestPulseSizing:
         with pytest.raises(ParameterError):
             wer_model.pulse_for_wer(1e-6, vp=0.1, hz_stray=hz_intra)
 
+    def test_target_met_without_pulse_rejected(self):
+        """Delta0 (pi/2)^2 / -ln(1 - WER) <= 1: no positive pulse width
+        hits the target, so the inverse names the target instead of
+        returning a 0-s pulse."""
+        from dataclasses import replace
+        from repro.device import MTJDevice, PAPER_EVAL_DEVICE
+        model = WriteErrorModel(
+            MTJDevice(replace(PAPER_EVAL_DEVICE, delta0=1.0)))
+        with pytest.raises(ParameterError, match="target_wer"):
+            model.pulse_for_wer(0.95, vp=0.95)
+        assert model.pulse_for_wer(0.5, vp=0.95) > 0.0
+
     def test_pulse_scale_is_nanoseconds(self, wer_model, hz_intra):
         pulse = wer_model.pulse_for_wer(1e-6, vp=0.95,
                                         hz_stray=hz_intra)

@@ -12,6 +12,7 @@ from repro.device import (
     retention_failure_probability,
     retention_time,
 )
+from repro.errors import ParameterError
 from repro.device.retention import (
     SECONDS_PER_YEAR,
     array_retention_failure_probability,
@@ -67,8 +68,21 @@ class TestFailureProbability:
             retention_failure_probability(35.0, 10.0))
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="delta"):
             retention_failure_probability(-1.0, 10.0)
+        with pytest.raises(ParameterError, match="delta"):
+            retention_failure_probability(np.array([40.0, -1.0]), 10.0)
+
+    def test_flip_rate_checks_every_element(self):
+        with pytest.raises(ParameterError, match="delta.*-2.0"):
+            flip_rate(np.array([[40.0, 30.0], [-2.0, 20.0]]))
+
+    def test_flip_rate_array_equals_scalar_calls(self):
+        deltas = np.array([[0.0, 12.5], [40.0, 61.25]])
+        rates = flip_rate(deltas, 1e9)
+        assert rates.shape == deltas.shape
+        for index, delta in np.ndenumerate(deltas):
+            assert rates[index] == flip_rate(float(delta), 1e9)
 
 
 class TestArrayLevel:

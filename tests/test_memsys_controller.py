@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.apps.read_disturb import ReadDisturbAnalysis
+from repro.apps.write_error import WriteErrorModel
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.pattern import random_pattern
+from repro.device import MTJDevice, MTJState, PAPER_EVAL_DEVICE
+from repro.device.access import AccessTransistor
+from repro.device.retention import flip_rate
 from repro.errors import ParameterError
 from repro.memsys.controller import (
     ArrayController,
@@ -14,6 +21,8 @@ from repro.memsys.controller import (
     neighborhood_class_map,
 )
 from repro.memsys.ecc import HammingSECDED
+from repro.memsys.sense import SenseMarginModel
+from repro.units import oe_to_am
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +182,76 @@ class TestValidation:
         with pytest.raises(Exception):
             ArrayController(MTJDevice(PAPER_EVAL_DEVICE), layout,
                             HammingSECDED(64), nominal_wer=1.5)
+
+
+def _per_class_tables(ctrl):
+    """The four class tables from one scalar model call per class."""
+    device = ctrl.device
+    wem = WriteErrorModel(device)
+    rda = ReadDisturbAnalysis(device)
+    f0 = device.params.attempt_frequency
+    wer, disturb, retention, half = (np.empty((2, 5, 5))
+                                     for _ in range(4))
+    for bit in (0, 1):
+        state = MTJState.from_bit(bit)
+        for nd in range(5):
+            for ng in range(5):
+                hz = float(ctrl.class_field(nd, ng))
+                wer[bit, nd, ng] = wem.wer(
+                    ctrl.t_pulse[bit], ctrl.vp, hz,
+                    initial_state=state.opposite)
+                disturb[bit, nd, ng] = rda.disturb_probability(
+                    state, ctrl.read_voltage, ctrl.t_read, hz)
+                retention[bit, nd, ng] = flip_rate(
+                    device.delta(state, hz, ctrl.temperature), f0)
+                half[bit, nd, ng] = rda.disturb_probability(
+                    state, 0.5 * ctrl.read_voltage, ctrl.t_read, hz)
+    if ctrl.sense is not None:
+        p_fail = ctrl.sense.read_failure_probability(device,
+                                                     ctrl.read_voltage)
+        for bit in (0, 1):
+            disturb[bit] = 1.0 - ((1.0 - disturb[bit])
+                                  * (1.0 - float(p_fail[bit])))
+    return wer, disturb, retention, half
+
+
+SENSE = SenseMarginModel(access=AccessTransistor(r_on=2e3))
+
+
+class TestTableParity:
+    """Each table is one array evaluation over the class-field grid;
+    it must equal the per-class scalar models exactly."""
+
+    @pytest.mark.parametrize("sense", [None, SENSE],
+                             ids=["no-sense", "sense"])
+    @pytest.mark.parametrize("temperature", [None, 350.0])
+    @pytest.mark.parametrize("vp", [0.8, 0.95, 1.1])
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 3.0])
+    def test_tables_equal_per_class_scalar_models(self, ratio, vp,
+                                                  temperature, sense):
+        layout = ArrayLayout(pitch=ratio * PAPER_EVAL_DEVICE.ecd,
+                             rows=16, cols=16)
+        ctrl = ArrayController(MTJDevice(PAPER_EVAL_DEVICE), layout,
+                               HammingSECDED(64), vp=vp,
+                               temperature=temperature, sense=sense)
+        wer, disturb, retention, half = _per_class_tables(ctrl)
+        assert np.array_equal(ctrl.wer_table, wer)
+        assert np.array_equal(ctrl.disturb_table, disturb)
+        assert np.array_equal(ctrl.retention_rate_table, retention)
+        assert np.array_equal(ctrl.half_select_table, half)
+
+    def test_locked_device_still_names_h_ratio(self):
+        """Hk = 350 Oe at 1.5x eCD puts |Hz / Hk| past 1."""
+        params = replace(PAPER_EVAL_DEVICE, hk=oe_to_am(350.0))
+        layout = ArrayLayout(pitch=1.5 * params.ecd, rows=16, cols=16)
+        with pytest.raises(ParameterError, match="h_stray_over_hk"):
+            ArrayController(MTJDevice(params), layout, HammingSECDED(64))
+
+    def test_unreachable_pulse_trim_names_target(self):
+        """A Delta0 = 1 device meets WER 0.95 with no pulse at all; the
+        trim must say so instead of failing inside the table build."""
+        params = replace(PAPER_EVAL_DEVICE, delta0=1.0)
+        layout = ArrayLayout(pitch=70e-9, rows=16, cols=16)
+        with pytest.raises(ParameterError, match="target_wer"):
+            ArrayController(MTJDevice(params), layout, HammingSECDED(64),
+                            nominal_wer=0.95)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.device import MTJDevice, PAPER_EVAL_DEVICE
+from repro.device import MTJDevice, MTJState, PAPER_EVAL_DEVICE
 from repro.device.energy import delta_with_stray
 from repro.device.switching import critical_current
 from repro.fields import (
@@ -71,6 +71,75 @@ class TestSwitchingIdentities:
             return
         assert model.mean_switching_time(vp, hz) == pytest.approx(
             tw, rel=1e-12)
+
+
+class TestArrayModelCalls:
+    """The models the controller evaluates over its class-field grid
+    return, for an array of fields, exactly their scalar calls."""
+
+    FIELDS = st.lists(H_RATIOS, min_size=1, max_size=12)
+    STATES = st.sampled_from([MTJState.P, MTJState.AP])
+
+    @staticmethod
+    def _same(array_result, scalar_call, fields):
+        expected = [scalar_call(float(hz)) for hz in fields]
+        assert np.array_equal(array_result, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FIELDS, STATES,
+           st.sampled_from([None, 300.0, 350.0, 420.0]))
+    def test_device_ic_and_delta(self, h, state, temperature):
+        device = MTJDevice(PAPER_EVAL_DEVICE)
+        hz = np.asarray(h) * device.params.hk
+        for direction in ("P->AP", "AP->P"):
+            self._same(device.ic(direction, hz, temperature),
+                       lambda f: device.ic(direction, f, temperature), hz)
+        self._same(device.delta(state, hz, temperature),
+                   lambda f: device.delta(state, f, temperature), hz)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FIELDS, STATES, st.floats(min_value=0.2, max_value=1.3),
+           st.floats(min_value=1e-10, max_value=1e-7))
+    def test_write_error_rate(self, h, state, vp, t_pulse):
+        from repro.apps import WriteErrorModel
+        device = MTJDevice(PAPER_EVAL_DEVICE)
+        model = WriteErrorModel(device)
+        hz = np.asarray(h) * device.params.hk
+        self._same(model.wer(t_pulse, vp, hz, state),
+                   lambda f: model.wer(t_pulse, vp, f, state), hz)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FIELDS, STATES, st.floats(min_value=0.01, max_value=1.5),
+           st.floats(min_value=1e-9, max_value=1e-6))
+    def test_read_disturb(self, h, state, read_voltage, t_read):
+        from repro.apps import ReadDisturbAnalysis
+        device = MTJDevice(PAPER_EVAL_DEVICE)
+        rda = ReadDisturbAnalysis(device)
+        hz = np.asarray(h) * device.params.hk
+        self._same(rda.effective_delta(state, read_voltage, hz),
+                   lambda f: rda.effective_delta(state, read_voltage, f),
+                   hz)
+        self._same(rda.disturb_probability(state, read_voltage, t_read,
+                                           hz),
+                   lambda f: rda.disturb_probability(state, read_voltage,
+                                                     t_read, f), hz)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=120.0),
+                    min_size=1, max_size=12))
+    def test_flip_rate(self, deltas):
+        from repro.device.retention import flip_rate
+        self._same(flip_rate(np.asarray(deltas), 1e9),
+                   lambda d: flip_rate(d, 1e9), deltas)
+
+    def test_array_field_past_hk_names_h_ratio(self):
+        from repro.errors import ParameterError
+        device = MTJDevice(PAPER_EVAL_DEVICE)
+        hz = np.array([0.0, 1.5]) * device.params.hk
+        with pytest.raises(ParameterError, match="h_stray_over_hk"):
+            device.ic("AP->P", hz)
+        with pytest.raises(ParameterError, match="h_stray_over_hk"):
+            device.delta(MTJState.P, hz)
 
 
 class TestFieldLinearity:

@@ -54,6 +54,41 @@ class TestRanges:
             v.require_non_negative(-0.1, "x")
 
 
+class TestArrayGuards:
+    """Every guard but the integer one also takes a real ndarray and
+    holds its rule for each element."""
+
+    def test_accepts_arrays_that_pass_everywhere(self):
+        values = np.array([[0.5, 1.0], [2.0, 3.0]])
+        assert v.require_positive(values, "x") is values
+        assert v.require_non_negative(values, "x") is values
+        assert v.require_in_range(values, "x", 0.5, 3.0) is values
+
+    def test_names_first_failing_element(self):
+        with pytest.raises(ParameterError, match=r"x must be > 0, got 0.0"):
+            v.require_positive(np.array([1.0, 0.0, -1.0]), "x")
+        with pytest.raises(ParameterError, match=r"x must be >= 0"):
+            v.require_non_negative(np.array([1.0, -0.5]), "x")
+        with pytest.raises(ParameterError, match=r"\(-1.0, 1.0\), got 1.0"):
+            v.require_in_range(np.array([0.0, 1.0]), "x", -1.0, 1.0,
+                               inclusive=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_elements(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            v.require_positive(np.array([1.0, bad]), "x")
+
+    def test_rejects_non_real_dtypes(self):
+        with pytest.raises(ParameterError):
+            v.require_finite(np.array([True, False]), "x")
+        with pytest.raises(ParameterError):
+            v.require_finite(np.array(["1"]), "x")
+
+    def test_lists_still_rejected(self):
+        with pytest.raises(ParameterError):
+            v.require_positive([1.0, 2.0], "x")
+
+
 class TestIntRange:
     def test_accepts_int(self):
         assert v.require_int_in_range(5, "n", 1, 10) == 5
