@@ -33,9 +33,9 @@ Robustness rules, in order:
   bumping :data:`SCHEMA_VERSION` simply stops old files from being
   read; a tampered header whose ``schema`` disagrees is corruption.
 * **Writes are atomic.** Header and payload live in ONE file, written
-  to a temporary name and ``os.replace``-d into place — a reader
-  interleaving with any number of writers sees some complete previous
-  state, never a torn one.
+  with :func:`repro.store.atomic_write` (temp file + rename; see that
+  module for the naming rule) — a reader interleaving with any number
+  of writers sees some complete previous state, never a torn one.
 * **Corruption is a fallback, not an error.** Every load failure raises
   :class:`KernelCacheError`; the store catches it, counts it in
   ``stats()``, and recomputes. A lost cache costs time, never
@@ -52,13 +52,13 @@ Robustness rules, in order:
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
+
+from ..store import atomic_write, repr_digest
 
 #: Version of the on-disk layout; bump to invalidate every existing file.
 SCHEMA_VERSION = 1
@@ -85,13 +85,14 @@ class KernelCacheError(Exception):
 
 
 def key_digest(key):
-    """128-bit digest of one kernel-store key as a ``(u64, u64)`` pair.
+    """128-bit digest of one kernel-store key as a ``(u64, u64)`` pair:
+    :func:`repro.store.repr_digest` read as two little-endian words.
 
     The key is a nested tuple of floats, ints, and strings whose
     ``repr`` is deterministic across processes (Python reprs floats in
     shortest round-trip form), so equal keys hash equally everywhere.
     """
-    raw = hashlib.sha256(repr(key).encode("utf-8")).digest()
+    raw = repr_digest(key)
     return (int.from_bytes(raw[:8], "little"),
             int.from_bytes(raw[8:16], "little"))
 
@@ -265,8 +266,8 @@ class DiskKernelCache:
 
         Existing on-disk entries are folded in first (a corrupt file is
         discarded rather than merged); header and payload are written
-        to one temporary file and ``os.replace``-d, so readers always
-        see a complete state. Writers serialize on an advisory lock so
+        in one :func:`~repro.store.atomic_write`, so readers always see
+        a complete state. Writers serialize on an advisory lock so
         simultaneous flushes (e.g. pool workers at pool shutdown) all
         land their entries. Returns the total entry count on disk.
         """
@@ -286,17 +287,7 @@ class DiskKernelCache:
             header = _HEADER.pack(_MAGIC, SCHEMA_VERSION, len(merged),
                                   zlib.crc32(payload) & 0xFFFFFFFF)
 
-            fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                       suffix=".bin.tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(header)
-                    fh.write(payload)
-                os.replace(tmp, self.data_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            atomic_write(self.data_path, header + payload)
         return len(merged)
 
     # -- maintenance --------------------------------------------------------
@@ -305,17 +296,19 @@ class DiskKernelCache:
         """Remove every cache file of *any* schema version.
 
         Returns the number of files removed. Stray temporary files from
-        interrupted writers (``mkstemp`` names ending ``.bin.tmp``) are
-        swept too. ``kernels.lock`` is deliberately left alone:
-        unlinking it while a writer holds (or waits on) its inode would
-        let two writers lock *different* inodes and merge concurrently,
-        breaking the no-lost-updates guarantee.
+        interrupted writers (``.tmp-*`` names, and the ``*.bin.tmp``
+        names older writers used) are swept too. ``kernels.lock`` is
+        deliberately left alone: unlinking it while a writer holds (or
+        waits on) its inode would let two writers lock *different*
+        inodes and merge concurrently, breaking the no-lost-updates
+        guarantee.
         """
         removed = 0
         if not os.path.isdir(self.directory):
             return removed
         for name in os.listdir(self.directory):
             if ((name.startswith("kernels.v") and name.endswith(".bin"))
+                    or name.startswith(".tmp-")
                     or name.endswith(".bin.tmp")):
                 try:
                     os.unlink(os.path.join(self.directory, name))

@@ -4,9 +4,23 @@ PR 9's resilience layer made runs *survive* faults; this package makes
 them *provable* — every persisted artifact carries a digest, every run
 can emit a manifest of what it computed, and two operator commands
 (``repro audit``, ``repro spool fsck``) verify and repair after the
-fact. See :mod:`repro.integrity.manifest` for the digest contract.
+fact. The digests, frames, and sealed documents are defined in
+:mod:`repro.store` and re-exported here.
 """
 
+from ..store import (
+    blob_digest,
+    canonical,
+    canonical_scalar,
+    load_sealed,
+    pack_record,
+    pickle_digest,
+    record_digest,
+    seal_record,
+    unpack_record,
+    verify_sealed,
+    write_sealed,
+)
 from .audit import (
     AuditCheck,
     AuditReport,
@@ -20,18 +34,7 @@ from .manifest import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
     RunManifest,
-    blob_digest,
-    canonical,
-    canonical_scalar,
     identity_diff,
-    load_sealed,
-    pack_record,
-    pickle_digest,
-    record_digest,
-    seal_record,
-    unpack_record,
-    verify_sealed,
-    write_sealed,
 )
 
 __all__ = [

@@ -1,8 +1,8 @@
 """Replay audit: prove a finished run's artifacts are what it computed.
 
-The manifest layer (:mod:`repro.integrity.manifest`) makes corruption
-*detectable* on the hot path; this module is the cold-path prosecutor
-behind ``repro audit``. It verifies three artifact families —
+The store layer (:mod:`repro.store`) makes corruption *detectable* on
+the hot path; this module is the cold-path prosecutor behind ``repro
+audit``. It verifies three artifact families —
 
 * **spool runs** (:func:`audit_spool_run`) — every committed result
   file's frame and digest against the run's manifest, plus a seeded
@@ -12,7 +12,7 @@ behind ``repro audit``. It verifies three artifact families —
 * **checkpoint directories** (:func:`audit_checkpoint_dir`) — each
   ``.ckpt`` blob's framed checksum plus its sealed manifest sidecar.
 * **disk-cache directories** (:func:`audit_cache_dir`) — each service
-  memo envelope's payload digest and fingerprint.
+  memo envelope, through the same verifier the cache reads with.
 
 plus a **cross-backend canary** (:func:`cross_backend_canary`): the
 same small seeded grid run on the numpy reference and the numba JIT
@@ -23,28 +23,28 @@ Every check lands in an :class:`AuditReport`; a single flipped byte
 anywhere fails the report.
 
 Cross-package imports (engine, checkpoint, spool protocol) happen
-lazily inside functions: those modules import the manifest layer, and
-this package's ``__init__`` imports this module, so eager imports here
+lazily inside functions: those modules import this package, and this
+package's ``__init__`` imports this module, so eager imports here
 would cycle.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 
 import numpy as np
 
 from ..errors import IntegrityError
-from .manifest import (
-    MANIFEST_NAME,
-    RunManifest,
+from ..store import (
+    CHECKPOINT_MAGIC,
     blob_digest,
+    load_sealed,
+    open_envelope,
     pickle_digest,
-    record_digest,
     unpack_record,
 )
+from .manifest import MANIFEST_NAME, RunManifest
 
 __all__ = [
     "AuditCheck",
@@ -230,12 +230,7 @@ def audit_spool_run(run_path, sample=4, seed=0):
 def audit_checkpoint_dir(directory):
     """Verify every ``.ckpt`` blob (framed checksum) and its sealed
     manifest sidecar in ``directory``."""
-    from ..resilience.checkpoint import (
-        _SIDECAR_SUFFIX,
-        _SUFFIX,
-        _decode,
-    )
-    from .manifest import load_sealed
+    from ..resilience.checkpoint import _SIDECAR_SUFFIX, _SUFFIX
 
     report = AuditReport(directory)
     try:
@@ -254,8 +249,8 @@ def audit_checkpoint_dir(directory):
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
-            _decode(blob)
-        except (OSError, ValueError) as exc:
+            unpack_record(blob, CHECKPOINT_MAGIC)
+        except (OSError, IntegrityError) as exc:
             report.add(f"{tag}/frame", "fail", str(exc))
             continue
         report.add(f"{tag}/frame", "pass", f"{len(blob)} bytes")
@@ -284,11 +279,14 @@ def audit_checkpoint_dir(directory):
 # ---------------------------------------------------------------------------
 
 def audit_cache_dir(directory):
-    """Verify every service memo envelope in ``directory``."""
+    """Verify every service memo envelope in ``directory`` with
+    :func:`~repro.store.open_envelope`, the check the cache itself
+    applies on read."""
     report = AuditReport(directory)
     try:
         names = sorted(name for name in os.listdir(directory)
-                       if name.endswith(".json"))
+                       if name.endswith(".json")
+                       and not name.startswith("."))
     except OSError as exc:
         report.add("cache", "fail", f"directory unreadable: {exc}")
         return report
@@ -297,25 +295,11 @@ def audit_cache_dir(directory):
         return report
     for name in names:
         key = name[:-len(".json")]
-        path = os.path.join(directory, name)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                envelope = json.load(fh)
-        except (OSError, json.JSONDecodeError,
-                UnicodeDecodeError) as exc:
-            report.add(key, "fail", f"unreadable envelope: {exc}")
-            continue
-        if (not isinstance(envelope, dict)
-                or not isinstance(envelope.get("payload"), dict)):
-            report.add(key, "fail", "malformed envelope")
-            continue
-        if envelope.get("fingerprint") != key:
-            report.add(key, "fail",
-                       f"fingerprint {envelope.get('fingerprint')!r} "
-                       f"does not match file name")
-            continue
-        if record_digest(envelope["payload"]) != envelope.get("sha256"):
-            report.add(key, "fail", "payload digest mismatch")
+            with open(os.path.join(directory, name), "rb") as fh:
+                open_envelope(fh.read(), key)
+        except (OSError, IntegrityError) as exc:
+            report.add(key, "fail", str(exc))
             continue
         report.add(key, "pass", "")
     return report

@@ -26,7 +26,7 @@ import json
 import os
 
 from ..errors import IntegrityError
-from .manifest import unpack_record
+from ..store import unpack_record
 
 __all__ = ["Finding", "fsck_spool", "list_quarantine"]
 
@@ -109,7 +109,7 @@ def _scan_run(run_path, repair, findings):
             "torn-result", path,
             f"{why}; removing re-arms the retry path", repaired))
 
-    # Temp files orphaned mid-rename by a crash inside _atomic_write.
+    # Temp files orphaned mid-rename by a crash inside atomic_write.
     for sub in ("", "queue", "claimed", "results"):
         directory = os.path.join(run_path, sub) if sub else run_path
         for name in _listdir(directory):

@@ -1,63 +1,22 @@
-"""Run manifests and digest primitives — the trust layer's vocabulary.
+"""Run manifests: which run produced a set of artifacts, and their digests.
 
-Everything this repo persists across a process boundary (spool chunk
-results, engine checkpoints, service disk-cache entries) now carries a
-digest a later reader can verify, and every *run* can emit a
-:class:`RunManifest` recording its identity plus per-chunk/per-batch
-result digests. The contract shared by every consumer is **counted
-miss, never a wrong answer**: a verification failure surfaces as an
-:class:`~repro.errors.IntegrityError` that callers translate into a
-retry, a quarantine record, or a cache miss — never into silently
-serving the corrupt bytes.
-
-Three digest flavors, each matched to what it protects:
-
-``record_digest``
-    Digest of *semantic content*: the object is canonicalized with the
-    exact collapse rules of
-    :func:`repro.service.protocol.query_fingerprint` (dict ordering is
-    irrelevant, ``70`` and ``70.0`` digest identically, bools stay
-    bools) and the digest is taken over its canonical JSON. Used where
-    two logically-equal payloads must verify equal even if they were
-    serialized by different writers.
-
-``blob_digest`` / ``pickle_digest``
-    Digest of *exact bytes* — byte-for-byte replay verification. A
-    reproduced chunk must re-pickle to the same bytes, which is the
-    strongest statement of determinism the audit can make.
-
-``pack_record`` / ``unpack_record``
-    A self-verifying frame for pickled payloads on disk (magic, length,
-    sha256 — same shape as the checkpoint frame). A torn or truncated
-    spool write fails structurally, without guessing at pickle errors.
+Every *run* can emit a :class:`RunManifest` recording its identity plus
+per-chunk/per-batch result digests, sealed with
+:func:`~repro.store.write_sealed`. The digests, frames, and the
+"counted miss, never a wrong answer" contract they serve are defined
+once, in :mod:`repro.store`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import pickle
-import struct
-import uuid
-
 from ..errors import IntegrityError
+from ..store import canonical, load_sealed, record_digest, write_sealed
 
 __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "RunManifest",
-    "blob_digest",
-    "canonical",
-    "canonical_scalar",
-    "load_sealed",
-    "pack_record",
-    "pickle_digest",
-    "record_digest",
-    "seal_record",
-    "unpack_record",
-    "verify_sealed",
-    "write_sealed",
+    "identity_diff",
 ]
 
 #: File name of a run manifest, written next to the artifacts it covers.
@@ -65,170 +24,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: Bumped when the manifest schema changes shape incompatibly.
 MANIFEST_VERSION = 1
-
-#: Key carrying a sealed record's own digest (see :func:`seal_record`).
-CHECK_FIELD = "check"
-
-# Framed pickled payloads: magic, payload length, payload sha256.
-# Deliberately the same frame shape as the checkpoint format
-# (``RCHKPT01``) so torn writes fail the same way everywhere.
-_MAGIC = b"RRECORD1"
-_HEADER = struct.Struct("<8sQ32s")
-
-
-# ---------------------------------------------------------------------------
-# canonicalization — one set of collapse rules for every digest
-# ---------------------------------------------------------------------------
-
-def canonical_scalar(value):
-    """Collapse a scalar to its canonical JSON spelling.
-
-    The *same* collapse rule ``query_fingerprint`` applies per field:
-    ints and floats unify (``70`` == ``70.0``), bools stay bools
-    (``True`` is not ``1.0``), numpy scalars drop to native Python.
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    item = getattr(value, "item", None)
-    if item is not None and getattr(value, "shape", None) == ():
-        return canonical_scalar(value.item())
-    return value
-
-
-def canonical(value):
-    """Recursively canonicalize ``value`` for digesting.
-
-    Dicts sort by (stringified) key, tuples become lists, scalars
-    collapse via :func:`canonical_scalar`; anything not JSON-shaped
-    falls back to its ``repr`` so digesting never raises.
-    """
-    if isinstance(value, dict):
-        return {str(key): canonical(value[key])
-                for key in sorted(value, key=str)}
-    if isinstance(value, (list, tuple)):
-        return [canonical(item) for item in value]
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:
-        return canonical(tolist())
-    scalar = canonical_scalar(value)
-    if scalar is None or isinstance(scalar, (bool, float, str)):
-        return scalar
-    return repr(scalar)
-
-
-def record_digest(obj):
-    """128-bit hex digest of ``obj``'s canonical JSON form.
-
-    Stable under dict reordering and int/float respelling — the
-    hypothesis properties in ``tests/test_integrity.py`` pin this.
-    Same width (32 hex chars) as a query fingerprint.
-    """
-    payload = json.dumps(canonical(obj), sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:32]
-
-
-def blob_digest(data):
-    """Full sha256 hex digest of exact bytes."""
-    return hashlib.sha256(data).hexdigest()
-
-
-def pickle_digest(obj):
-    """Byte-exact digest of ``obj``'s pickled form.
-
-    This is the replay-audit invariant: recomputing a chunk from its
-    recorded inputs must reproduce these exact bytes.
-    """
-    return blob_digest(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-# ---------------------------------------------------------------------------
-# framed pickle blobs — self-verifying result files
-# ---------------------------------------------------------------------------
-
-def pack_record(payload):
-    """Serialize ``payload`` into a self-verifying framed blob."""
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(body).digest()
-    return _HEADER.pack(_MAGIC, len(body), digest) + body
-
-
-def unpack_record(blob):
-    """Verify and deserialize a :func:`pack_record` blob.
-
-    Raises :class:`IntegrityError` on any structural or digest
-    mismatch — truncation, torn write, flipped byte, wrong magic.
-    """
-    if len(blob) < _HEADER.size:
-        raise IntegrityError(
-            f"record blob shorter than its header "
-            f"({len(blob)} < {_HEADER.size} bytes)")
-    magic, length, digest = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise IntegrityError(f"bad record magic {magic!r}")
-    body = blob[_HEADER.size:]
-    if len(body) != length:
-        raise IntegrityError(
-            f"record body length {len(body)} != header length {length}")
-    if hashlib.sha256(body).digest() != digest:
-        raise IntegrityError("record sha256 mismatch")
-    return pickle.loads(body)
-
-
-# ---------------------------------------------------------------------------
-# sealed JSON records — manifests and checkpoint sidecars
-# ---------------------------------------------------------------------------
-
-def seal_record(record):
-    """Return a copy of ``record`` carrying its own content digest."""
-    body = {key: record[key] for key in record if key != CHECK_FIELD}
-    sealed = dict(body)
-    sealed[CHECK_FIELD] = record_digest(body)
-    return sealed
-
-def verify_sealed(record):
-    """True iff ``record``'s embedded digest matches its content."""
-    if not isinstance(record, dict) or CHECK_FIELD not in record:
-        return False
-    body = {key: record[key] for key in record if key != CHECK_FIELD}
-    return record[CHECK_FIELD] == record_digest(body)
-
-
-def write_sealed(path, record, fs=None):
-    """Atomically write a sealed JSON record (temp file + rename)."""
-    data = json.dumps(seal_record(record), sort_keys=True,
-                      indent=2).encode("utf-8")
-    directory = os.path.dirname(path) or "."
-    tmp = os.path.join(directory,
-                       f".tmp-{uuid.uuid4().hex[:8]}-{os.path.basename(path)}")
-    if fs is not None:
-        fs.makedirs(directory)
-        fs.write_bytes(tmp, data)
-        fs.replace(tmp, path)
-        return
-    os.makedirs(directory, exist_ok=True)
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
-
-
-def load_sealed(path, fs=None):
-    """Load a sealed JSON record, raising :class:`IntegrityError` if
-    it does not parse or its embedded digest does not verify."""
-    try:
-        if fs is not None:
-            data = fs.read_bytes(path)
-        else:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        record = json.loads(data.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"unreadable sealed record {path}: {exc}")
-    if not verify_sealed(record):
-        raise IntegrityError(f"sealed record failed verification: {path}")
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +66,13 @@ class RunManifest:
                         for name, fields in self.entries.items()},
         }
 
-    def write(self, path, fs=None):
-        write_sealed(path, self.to_record(), fs=fs)
+    def write(self, path):
+        write_sealed(path, self.to_record())
         return path
 
     @classmethod
-    def load(cls, path, fs=None):
-        record = load_sealed(path, fs=fs)
+    def load(cls, path):
+        record = load_sealed(path)
         version = record.get("manifest_version")
         if version != MANIFEST_VERSION:
             raise IntegrityError(

@@ -11,14 +11,14 @@ continues, producing results byte-identical to the uninterrupted run
 (asserted by the resilience test suite for both samplers and flat +
 banked topologies).
 
-Durability rules, in the same spirit as the kernel disk cache:
+Checkpoints are ``RCHKPT01`` frames written with
+:func:`~repro.store.atomic_write`; :mod:`repro.store` defines the frame
+layout, the temp-file naming, and the checksum gate. On top of that:
 
-* **Writes are atomic.** Payloads serialize to a temp file and
-  ``replace`` into place; a reader never observes a torn checkpoint.
-* **Checksums gate reads.** The header carries a SHA-256 of the
-  payload; any mismatch (truncation, bitrot, a fault plan's corruption)
-  is *detected*, counted, warned about — and survived: the caller falls
-  back to a clean restart, never to wrong numbers.
+* **Corruption is survived.** A frame that fails verification
+  (truncation, bitrot, a fault plan's corruption) is counted and warned
+  about, and the caller falls back to a clean restart — never to wrong
+  numbers.
 * **Staleness is corruption's sibling.** Each checkpoint embeds a key
   derived from the engine configuration and run shape; resuming against
   a checkpoint written by a different run degrades to a clean restart
@@ -27,19 +27,15 @@ Durability rules, in the same spirit as the kernel disk cache:
   written (disk full, EIO from the fault harness) costs future
   resumability, not the run in progress.
 
-All file IO flows through the :class:`~repro.resilience.shims
-.FileSystem` shim, which is how the fault-injection harness drives
-EIO-on-rename and corrupt-checkpoint scenarios deterministically.
+Checkpoint IO flows through the :class:`~repro.store.FileSystem`
+shim, which is how the fault-injection harness drives EIO-on-rename
+and corrupt-checkpoint scenarios deterministically.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
-import pickle
-import struct
-import uuid
 import warnings
 
 from ..errors import (
@@ -48,21 +44,20 @@ from ..errors import (
     ResilienceWarning,
     RunIdentityError,
 )
-from ..integrity.manifest import (
+from ..integrity.manifest import identity_diff
+from ..store import (
+    CHECKPOINT_MAGIC,
+    REAL_FS,
+    atomic_write,
     blob_digest,
     canonical,
-    identity_diff,
     load_sealed,
+    pack_record,
+    repr_digest,
+    unpack_record,
     write_sealed,
 )
 from ..validation import require_positive
-from .shims import REAL_FS
-
-#: File-format sanity marker + version (bump to invalidate old files).
-_MAGIC = b"RCHKPT01"
-
-#: Header: magic, payload length (u64), SHA-256 digest (32 bytes).
-_HEADER = struct.Struct("<8sQ32s")
 
 _SUFFIX = ".ckpt"
 
@@ -83,34 +78,7 @@ def checkpoint_key(parts):
     whose key disagrees with the stored one is a *different* run and
     must not inherit the state.
     """
-    raw = repr(parts).encode("utf-8")
-    return hashlib.sha256(raw).hexdigest()[:32]
-
-
-def _encode(payload):
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(body).digest()
-    return _HEADER.pack(_MAGIC, len(body), digest) + body
-
-
-def _decode(blob):
-    """Payload of one checkpoint blob; raises ``ValueError`` when it
-    cannot be trusted (bad magic, truncation, checksum mismatch)."""
-    if len(blob) < _HEADER.size:
-        raise ValueError("checkpoint shorter than its header")
-    magic, length, digest = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise ValueError("checkpoint magic/version mismatch")
-    body = blob[_HEADER.size:]
-    if len(body) != length:
-        raise ValueError(
-            f"checkpoint truncated: {len(body)} of {length} bytes")
-    if hashlib.sha256(body).digest() != digest:
-        raise ValueError("checkpoint checksum mismatch")
-    try:
-        return pickle.loads(body)
-    except Exception as exc:
-        raise ValueError(f"checkpoint payload undecodable: {exc!r}")
+    return repr_digest(parts).hex()
 
 
 class CheckpointManager:
@@ -121,7 +89,7 @@ class CheckpointManager:
     directory:
         Where checkpoints live; created on first save.
     fs:
-        A :class:`~repro.resilience.shims.FileSystem`; the default is
+        A :class:`~repro.store.FileSystem`; the default is
         the real one. The fault harness substitutes a failing double.
     """
 
@@ -147,8 +115,8 @@ class CheckpointManager:
         """Best-effort sealed manifest next to the checkpoint file.
 
         Carries the blob's full digest, the run identity, and a capped
-        per-batch digest history. Deliberately written through plain
-        ``os`` rather than the fault-injection filesystem shim: the
+        per-batch digest history. Deliberately written through the real
+        filesystem rather than ``self.fs``, the fault-injection shim: the
         sidecar is an advisory audit artifact, and its bookkeeping
         writes must not perturb the scheduled fault ordinals the chaos
         plans count on. Failures are swallowed — a missing sidecar
@@ -189,19 +157,11 @@ class CheckpointManager:
         the thing that kills it.
         """
         path = self._path(tag)
-        tmp = (f"{self.directory}/.tmp-{uuid.uuid4().hex[:8]}-"
-               f"{tag}{_SUFFIX}")
-        blob = _encode(payload)
+        blob = pack_record(payload, CHECKPOINT_MAGIC)
         try:
-            self.fs.makedirs(self.directory)
-            self.fs.write_bytes(tmp, blob)
-            self.fs.replace(tmp, path)
+            atomic_write(path, blob, fs=self.fs)
         except OSError as exc:
             self.save_failures += 1
-            try:
-                self.fs.unlink(tmp)
-            except OSError:
-                pass
             warnings.warn(
                 f"checkpoint save failed for {path!r} ({exc}); the "
                 f"run continues without this snapshot",
@@ -241,8 +201,8 @@ class CheckpointManager:
                 stacklevel=2)
             return None
         try:
-            payload = _decode(blob)
-        except ValueError as exc:
+            payload = unpack_record(blob, CHECKPOINT_MAGIC)
+        except IntegrityError as exc:
             self.corrupt_fallbacks += 1
             warnings.warn(
                 f"checkpoint {path!r} corrupt ({exc}); falling back "

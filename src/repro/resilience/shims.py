@@ -9,6 +9,9 @@ default singletons delegate straight to ``os``/``time``/``subprocess``
 with no overhead worth measuring, while the harness substitutes
 deterministic doubles that fail on schedule.
 
+:class:`FileSystem` and ``REAL_FS`` are defined in :mod:`repro.store`
+beside the atomic write that uses them, and re-exported here.
+
 The shims are deliberately *narrow*: they expose only the operations
 the resilience layer performs (atomic replace, byte-level file IO,
 directory scans, monotonic time, sleeping, worker-process lifecycle),
@@ -18,44 +21,11 @@ so a fault plan enumerates a small, meaningful fault space instead of
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import time
 
-
-class FileSystem:
-    """The real filesystem: thin delegating wrappers around ``os``.
-
-    :class:`~repro.resilience.faults.FaultyFileSystem` subclasses this
-    and overrides individual operations to fail (or corrupt) on a
-    seeded schedule; everything it does not override falls through to
-    the real thing.
-    """
-
-    def makedirs(self, path):
-        os.makedirs(path, exist_ok=True)
-
-    def exists(self, path):
-        return os.path.exists(path)
-
-    def listdir(self, path):
-        return os.listdir(path)
-
-    def unlink(self, path):
-        os.unlink(path)
-
-    def replace(self, src, dst):
-        """Atomic rename — the commit point of every durable write."""
-        os.replace(src, dst)
-
-    def read_bytes(self, path):
-        with open(path, "rb") as handle:
-            return handle.read()
-
-    def write_bytes(self, path, data):
-        with open(path, "wb") as handle:
-            handle.write(data)
+from ..store import REAL_FS, FileSystem
 
 
 class Clock:
@@ -131,6 +101,5 @@ class ProcessSpawner:
         return WorkerHandle(process, worker_id)
 
 
-#: Default shim singletons: the real operating system.
-REAL_FS = FileSystem()
+#: Default clock singleton: the real clock.
 REAL_CLOCK = Clock()

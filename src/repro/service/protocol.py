@@ -28,7 +28,7 @@ from ..arrays.kernel_disk import key_digest
 from ..arrays.kernel_store import stack_fingerprint
 from ..device import MTJDevice, PAPER_EVAL_DEVICE
 from ..errors import ParameterError
-from ..integrity.manifest import canonical_scalar
+from ..store import canonical_scalar
 from ..units import nm_to_m
 from ..validation import require_int_in_range, require_positive
 

@@ -9,11 +9,12 @@ to. Both tiers are keyed by :func:`~repro.service.protocol
 .query_fingerprint`, so a warm directory survives server restarts and
 is shared by every server pointed at it.
 
-Every entry is stored in a manifest envelope — fingerprint, store
-time, and a :func:`~repro.integrity.manifest.record_digest` of the
-payload — and verified on read: a corrupt, tampered, or
-wrong-fingerprint file is a counted miss (and deleted), never a wrong
-answer. The store time powers two ages:
+Every entry is stored in a memo envelope (:func:`repro.store
+.pack_envelope`: fingerprint, store time, payload digest) and verified
+on read by :func:`repro.store.open_envelope`, the same check ``repro
+audit`` applies: a corrupt, tampered, or wrong-fingerprint file is a
+counted miss (and deleted), never a wrong answer. The store time
+powers two ages:
 
 * ``get(key, max_age=...)`` — the memo TTL: entries older than
   ``max_age`` read as misses (but are *retained* — they may still
@@ -28,22 +29,23 @@ workers as well as the event loop.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from collections import OrderedDict
 
 from ..arrays.kernel_disk import KERNEL_CACHE_ENV
-from ..errors import ParameterError
-from ..integrity.manifest import record_digest
+from ..errors import IntegrityError, ParameterError
+from ..store import (
+    atomic_write,
+    open_envelope,
+    pack_envelope,
+    record_digest,
+)
 from ..validation import require_int_in_range, require_positive
 
 #: Subdirectory of ``REPRO_KERNEL_CACHE`` holding service results.
 RESULTS_SUBDIR = "service-results"
-
-#: Disk-envelope schema version.
-ENVELOPE_VERSION = 1
 
 _FINGERPRINT_LEN = 32
 
@@ -117,34 +119,18 @@ class ResultsCache:
 
     def _disk_get(self, key):
         """``(payload, stored_at, digest)`` from a verified envelope,
-        else None. Any verification failure — unparseable JSON, a
-        pre-envelope bare payload, a digest or fingerprint mismatch —
-        is counted corrupt and the file removed: a counted miss, never
-        a wrong answer."""
+        else None. Any verification failure is counted corrupt and the
+        file removed."""
         if self.directory is None:
             return None
         path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
+            with open(path, "rb") as handle:
+                return open_envelope(handle.read(), key)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        except (OSError, IntegrityError):
             return self._drop_corrupt(path)
-        if (not isinstance(envelope, dict)
-                or envelope.get("v") != ENVELOPE_VERSION
-                or envelope.get("fingerprint") != key
-                or not isinstance(envelope.get("payload"), dict)):
-            return self._drop_corrupt(path)
-        payload = envelope["payload"]
-        digest = envelope.get("sha256")
-        if record_digest(payload) != digest:
-            return self._drop_corrupt(path)
-        try:
-            stored_at = float(envelope.get("stored_at"))
-        except (TypeError, ValueError):
-            return self._drop_corrupt(path)
-        return payload, stored_at, digest
 
     def _drop_corrupt(self, path):
         self._disk_corrupt += 1
@@ -157,16 +143,9 @@ class ResultsCache:
     def _disk_put(self, key, payload, stored_at, digest):
         if self.directory is None:
             return
-        envelope = {"v": ENVELOPE_VERSION, "fingerprint": key,
-                    "stored_at": stored_at, "sha256": digest,
-                    "payload": payload}
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            tmp = self._path(key) + f".tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, separators=(",", ":"),
-                          sort_keys=True)
-            os.replace(tmp, self._path(key))
+            atomic_write(self._path(key),
+                         pack_envelope(key, payload, stored_at, digest))
         except (OSError, TypeError, ValueError):
             # Persistence is best-effort; the memory tier still serves.
             self._disk_write_failures += 1
@@ -276,7 +255,8 @@ class ResultsCache:
                 try:
                     disk_entries = sum(
                         1 for name in os.listdir(self.directory)
-                        if name.endswith(".json"))
+                        if name.endswith(".json")
+                        and not name.startswith("."))
                 except OSError:
                     disk_entries = 0
             return {

@@ -55,9 +55,9 @@ import uuid
 import warnings
 
 from ..errors import IntegrityError, ParameterError, ResilienceWarning
-from ..integrity.manifest import (
-    MANIFEST_NAME,
-    RunManifest,
+from ..integrity.manifest import MANIFEST_NAME, RunManifest
+from ..store import (
+    atomic_write,
     blob_digest,
     pack_record,
     pickle_digest,
@@ -118,24 +118,6 @@ def _env_number(name, cast):
 _RUN_PREFIX = "run-"
 _JOB_SUFFIX = ".job"
 _CLAIM_SEP = "@"
-
-
-def _atomic_write(path, payload):
-    """Pickle ``payload`` to ``path`` via a same-directory atomic rename."""
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex[:8]}-{name}")
-    with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path, record):
-    """JSON twin of :func:`_atomic_write` (quarantine records)."""
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex[:8]}-{name}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def _json_safe_point(point):
@@ -239,13 +221,15 @@ class SpoolRun:
         for directory in (run.queue_dir, run.claimed_dir,
                           run.results_dir, run.hb_dir):
             os.mkdir(directory)
-        _atomic_write(run._task_path, func)
+        atomic_write(run._task_path,
+                     pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL))
         return run
 
     def enqueue(self, chunk, points):
         """Queue one chunk job (atomically; claimable immediately)."""
-        _atomic_write(os.path.join(self.queue_dir, _job_name(chunk)),
-                      {"chunk": int(chunk), "points": list(points)})
+        job = {"chunk": int(chunk), "points": list(points)}
+        atomic_write(os.path.join(self.queue_dir, _job_name(chunk)),
+                     pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))
 
     def open(self):
         """Start accepting claims (written after every job is queued)."""
@@ -273,7 +257,7 @@ class SpoolRun:
         Files mid-commit never appear: commits are atomic renames, and
         the in-flight temp names start with a dot. Every result file is
         digest-verified on read (commits are framed with
-        :func:`~repro.integrity.manifest.pack_record`); a torn,
+        :func:`~repro.store.pack_record`); a torn,
         truncated, or tampered file yields ``payload=None`` so the
         broker can count and retry it — corrupt bytes never reassemble
         into sweep values.
@@ -1064,17 +1048,17 @@ class DistributedBroker:
         survive JSON degrade to their ``repr`` too.
         """
         workers = sorted(str(w) for w in workers if w is not None)
-        record_dir = os.path.join(spool, QUARANTINE_DIR)
-        record_path = os.path.join(record_dir,
+        record_path = os.path.join(spool, QUARANTINE_DIR,
                                    f"chunk-{chunk:06d}.json")
+        record = {
+            "chunk": int(chunk),
+            "points": [_json_safe_point(p) for p in points],
+            "error": repr(error),
+            "error_type": type(error).__name__,
+            "attempts": int(n_attempts), "workers": workers}
         try:
-            os.makedirs(record_dir, exist_ok=True)
-            _atomic_write_json(record_path, {
-                "chunk": int(chunk),
-                "points": [_json_safe_point(p) for p in points],
-                "error": repr(error),
-                "error_type": type(error).__name__,
-                "attempts": int(n_attempts), "workers": workers})
+            atomic_write(record_path, json.dumps(
+                record, indent=2, sort_keys=True).encode("utf-8"))
         except OSError:  # pragma: no cover - quarantine must not kill
             record_path = None
         self.stats["quarantined"].append(int(chunk))
@@ -1098,13 +1082,13 @@ class DistributedBroker:
         values are not a reproducible artifact).
         """
         replay_dir = os.path.join(run.path, REPLAY_DIR)
-        os.makedirs(replay_dir, exist_ok=True)
         entries = {}
         for chunk in sorted(results):
             points = chunk_points[chunk]
-            _atomic_write(
+            atomic_write(
                 os.path.join(replay_dir, f"chunk-{chunk:06d}.pkl"),
-                list(points))
+                pickle.dumps(list(points),
+                             protocol=pickle.HIGHEST_PROTOCOL))
             payload = results[chunk]
             entry = {"n_points": len(points)}
             if payload.get("quarantined"):

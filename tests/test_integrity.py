@@ -42,6 +42,7 @@ from repro.integrity import (
 from repro.memsys import build_engine
 from repro.resilience import CheckpointManager, FaultPlan
 from repro.service.results_cache import ResultsCache
+from repro.store import CHECKPOINT_MAGIC, RECORD_MAGIC
 from repro.sweep.distributed import (
     QUARANTINE_DIR,
     DistributedBroker,
@@ -114,7 +115,7 @@ class TestDigestProperties:
         # The shared-rule regression pin: if canonical_scalar changes,
         # both of these flip together or the import in protocol.py
         # was broken.
-        from repro.integrity.manifest import canonical_scalar
+        from repro.store import canonical_scalar
         from repro.service.protocol import (UberQuery,
                                             query_fingerprint)
         assert canonical_scalar(70) == canonical_scalar(70.0)
@@ -132,10 +133,18 @@ class TestDigestProperties:
 # framed records and sealed JSON
 # ---------------------------------------------------------------------------
 
-class TestFraming:
+class _FrameCases:
+    """Frame checks run once per magic: spool results (``TestFraming``)
+    and checkpoints (``TestCheckpointFraming``) share one codec."""
+
+    MAGIC = RECORD_MAGIC
+    OTHER_MAGIC = CHECKPOINT_MAGIC
+
     def test_pack_unpack_round_trip(self):
         payload = {"values": [1, 2.5, "x"], "chunk": 3}
-        assert unpack_record(pack_record(payload)) == payload
+        blob = pack_record(payload, self.MAGIC)
+        assert blob[:8] == self.MAGIC
+        assert unpack_record(blob, self.MAGIC) == payload
 
     @pytest.mark.parametrize("mangle", [
         lambda blob: blob[:10],                      # truncation
@@ -144,10 +153,22 @@ class TestFraming:
         lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),  # flipped byte
     ])
     def test_mangled_frame_raises(self, mangle):
-        blob = pack_record({"values": list(range(8))})
+        blob = pack_record({"values": list(range(8))}, self.MAGIC)
         with pytest.raises(IntegrityError):
-            unpack_record(mangle(blob))
+            unpack_record(mangle(blob), self.MAGIC)
 
+    def test_other_kinds_reader_rejects_the_blob(self):
+        blob = pack_record({"values": list(range(8))}, self.MAGIC)
+        with pytest.raises(IntegrityError, match="magic"):
+            unpack_record(blob, self.OTHER_MAGIC)
+
+
+class TestCheckpointFraming(_FrameCases):
+    MAGIC = CHECKPOINT_MAGIC
+    OTHER_MAGIC = RECORD_MAGIC
+
+
+class TestFraming(_FrameCases):
     def test_sealed_record_round_trip(self, tmp_path):
         path = str(tmp_path / "record.json")
         write_sealed(path, {"kind": "test", "n": 4})
@@ -352,6 +373,29 @@ class TestCacheAudit:
         report = audit_cache_dir(str(tmp_path))
         assert not report.passed
 
+    @pytest.mark.parametrize("field, value", [
+        ("v", 2),                    # a future envelope version
+        ("stored_at", "yesterday"),  # a store time that is no number
+    ])
+    def test_envelope_the_cache_rejects_fails_audit(self, tmp_path,
+                                                    field, value):
+        """Audit and the cache apply one verifier: an envelope whose
+        digest is intact but which the cache would count corrupt and
+        delete must fail the audit too."""
+        cache = ResultsCache(directory=str(tmp_path))
+        cache.put(self.KEY, {"answer": 42})
+        path = str(tmp_path / f"{self.KEY}.json")
+        envelope = json.load(open(path))
+        envelope[field] = value
+        assert record_digest(envelope["payload"]) == envelope["sha256"]
+        json.dump(envelope, open(path, "w"))
+        report = audit_cache_dir(str(tmp_path))
+        assert [c.status for c in report.checks] == ["fail"]
+        fresh = ResultsCache(directory=str(tmp_path))
+        assert fresh.get(self.KEY) is None
+        assert fresh.stats()["disk_corrupt"] == 1
+        assert not os.path.exists(path)
+
 
 # ---------------------------------------------------------------------------
 # cross-backend canary
@@ -475,6 +519,29 @@ class TestFsck:
         assert kinds == ["orphaned-claim", "torn-result"]
         assert all(f.repaired for f in fsck_spool(spool, repair=True))
         assert fsck_spool(spool) == []
+
+
+@pytest.mark.integration
+class TestOperatorCommands:
+    def test_audit_and_fsck_exit_codes_over_a_mangled_spool(self,
+                                                            tmp_path):
+        """``repro audit`` and ``repro spool fsck`` as an operator runs
+        them: green on a clean run, non-zero once a result byte is
+        flipped and a claim orphaned, zero again after ``--repair``."""
+        from repro.cli import main
+        spool, run_path, _, _ = _kept_run(tmp_path)
+        assert main(["audit", "--spool", spool]) == 0
+        victim = sorted(glob.glob(run_path + "/results/chunk-*.pkl"))[0]
+        blob = bytearray(open(victim, "rb").read())
+        blob[-7] ^= 0x01
+        open(victim, "wb").write(bytes(blob))
+        assert main(["audit", "--spool", spool]) != 0
+        open(os.path.join(run_path, "claimed",
+                          "chunk-000001.job@crashed"), "w").close()
+        assert main(["spool", "fsck", "--spool", spool]) != 0
+        assert main(["spool", "fsck", "--spool", spool,
+                     "--repair"]) == 0
+        assert main(["spool", "fsck", "--spool", spool]) == 0
 
 
 class TestQuarantineListing:

@@ -246,8 +246,13 @@ class TestFaultInjection:
         stray = os.path.join(disk.directory, "tmpabc123.bin.tmp")
         with open(stray, "wb") as fh:
             fh.write(b"partial")
+        stray_new = os.path.join(disk.directory,
+                                 ".tmp-0badf00d-kernels.v1.bin")
+        with open(stray_new, "wb") as fh:
+            fh.write(b"partial")
         disk.clear()
         assert not os.path.exists(stray)
+        assert not os.path.exists(stray_new)
         # Only the writer-serialization lock file may remain.
         assert os.listdir(disk.directory) in ([], ["kernels.lock"])
 

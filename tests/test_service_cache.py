@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError
@@ -109,6 +110,24 @@ class TestDiskTier:
         cache.put(KEY_A, {"v": 1})
         cache.put(KEY_B, {"v": 2})
         assert cache.stats()["disk_entries"] == 2
+
+    @pytest.mark.parametrize("failure", ["unserializable", "oserror"])
+    def test_failed_write_leaves_no_tmp_files(self, tmp_path,
+                                              monkeypatch, failure):
+        """A disk write that fails mid-way is counted and leaves no
+        temp file behind: nothing would ever sweep one."""
+        cache = ResultsCache(capacity=4, directory=str(tmp_path))
+        payload = {"v": 1}
+        if failure == "unserializable":
+            payload = {"n": np.int64(3)}
+        else:
+            def eio(src, dst):
+                raise OSError("injected EIO on replace")
+            monkeypatch.setattr(os, "replace", eio)
+        cache.put(KEY_A, payload)
+        assert cache.stats()["disk_write_failures"] == 1
+        assert os.listdir(str(tmp_path)) == []
+        assert cache.get(KEY_A) == payload    # memory tier serves
 
     def test_atomic_writes_leave_no_tmp_files(self, tmp_path):
         cache = ResultsCache(capacity=4, directory=str(tmp_path))
