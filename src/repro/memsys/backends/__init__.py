@@ -1,20 +1,22 @@
-"""Pluggable engine-compute backends for the binomial hot loop.
+"""Pluggable engine-compute backends: one kernel contract, two builds.
 
 At rare-event operating points the binomial sampler's cost is no
-longer the math but per-batch numpy *dispatch* on four hot kernels:
+longer the math but per-batch numpy *dispatch* on a few hot kernels:
 the incremental class-map update around changed cells, the XOR +
 popcount diff over packed uint64 lanes, the grouped flip placement of
 :func:`~repro.memsys.sampling.sample_class_flips`, and the per-word
 error-count bookkeeping that feeds the all-clean read short-circuit.
-This package gives each of those a *backend*:
+Every such kernel is a *hook* of the engine backend, and every call
+site calls the hook of the backend it holds, unconditionally:
 
-* ``"numpy"`` — the bit-exact parity reference: every hook returns
-  ``None`` ("use the library's vectorized numpy code"), so selecting
-  it changes nothing at all. This is the default.
+* ``"numpy"`` — the vectorized reference implementation of every hook
+  (:mod:`~repro.memsys.backends.numpy_backend`) and the default.
 * ``"numba"`` — JIT-compiled scalar kernels
   (:mod:`~repro.memsys.backends.numba_backend`), fidimag-style flat
   index walks instead of scattered ``np.add.at``. Requires the
   optional ``numba`` dependency (``pip install repro[fast]``).
+
+Both backends yield identical maps, counters and seeded draw streams.
 
 Selection mirrors the sweep-executor convention
 (:data:`repro.sweep.runner.SWEEP_EXECUTOR_ENV`): an explicit
@@ -28,32 +30,38 @@ fail their compile self-check) falls back to numpy with a single
 ``REPRO_ENGINE_BACKEND`` value is likewise ignored with one warning so
 a stale environment cannot break a plain run (an invalid explicit
 argument still raises, as every other registry in the library does).
+Library entry points that take ``backend=None`` below the engine
+(:class:`~repro.memsys.sampling.IncrementalClassMaps`,
+:func:`~repro.memsys.sampling.sample_class_flips`) mean the numpy
+singleton.
 
-Backend hook contract (every hook may return ``None`` to mean "run
-the reference numpy path"; the numpy backend always does):
+Backend hook contract (every hook returns its result; none returns
+``None``):
 
 ========================  ==============================================
 ``xor_popcount_rows``     per-row set-bit count of ``a ^ b`` (uint64
-                          lanes) without materializing the XOR temp
-``rebuild_class_maps``    full ``(nd, ng, class_idx, hist)`` rebuild
-                          from a flat bit array
+                          lanes), int64
+``rebuild_class_maps``    ``(nd, ng, class_idx, hist)`` of a flat bit
+                          array: neighbor counts, 0..49 classes, and
+                          the 50-bin class histogram
 ``apply_class_changes``   in-place neighbor-count/class/histogram
-                          update around changed cells
+                          update around changed cells; returns the
+                          number of distinct cells reclassified
 ``group_class_members``   ``(order, bounds)`` grouping of cells by
-                          coupling class (counting sort, no argsort)
-``toggle_and_count``      fused bit toggles + per-word error-count
+                          class, ascending within each class
+``toggle_and_count``      bit toggles + per-word error-count
                           maintenance; returns the wrong-bits delta
-``inject_and_count``      fused write-error injection (all cells
-                          become wrong); returns the flip count
+``inject_and_count``      write-error injection into clean cells (each
+                          becomes wrong); returns the flip count
 ========================  ==============================================
 
-``preferred_rebuild_fraction`` is a backend tuning knob: the churn
+``preferred_rebuild_fraction`` is a backend tuning number: the churn
 fraction above which :class:`~repro.memsys.sampling.\
-IncrementalClassMaps` abandons incremental updates for a full rebuild.
-The compiled incremental walk is so much cheaper than scattered numpy
-updates that the numba backend raises the threshold (see its class
-docstring), which is an algorithmic choice — the resulting maps are
-identical either way.
+IncrementalClassMaps` abandons incremental updates for a full rebuild
+(0.02 for numpy). The compiled incremental walk is so much cheaper
+than scattered numpy updates that the numba backend raises the
+threshold (see its class docstring), which is an algorithmic choice —
+the resulting maps are identical either way.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Numba-JIT kernels for the binomial engine's four hot loops.
+"""Numba-JIT kernels for the engine's hot loops.
 
 Each kernel is written as a plain scalar loop over flat indices — the
 fidimag ``lib/`` idiom: precompute nothing fancy, walk a flat
@@ -117,7 +117,7 @@ def _apply_class_changes(changed, new_bits, nd, ng, class_idx, hist,
     bumped with a flat index walk (the fidimag neighbor pattern),
     touched cells collect into ``scratch`` (<= 9 per change), and one
     sort + scan re-derives class index and histogram for each distinct
-    affected cell.
+    affected cell. Returns the number of distinct affected cells.
     """
     n = changed.size
     for k in range(n):
@@ -169,11 +169,13 @@ def _apply_class_changes(changed, new_bits, nd, ng, class_idx, hist,
     touched = scratch[:m]
     touched.sort()
     prev = -1
+    distinct = 0
     for k in range(m):
         j = touched[k]
         if j == prev:
             continue
         prev = j
+        distinct += 1
         old = class_idx[j]
         bit = old // 25
         if changed_mask[j] == 1:
@@ -184,6 +186,7 @@ def _apply_class_changes(changed, new_bits, nd, ng, class_idx, hist,
         hist[new] += 1
     for k in range(n):
         changed_mask[changed[k]] = 0
+    return distinct
 
 
 @njit(cache=True)
@@ -247,7 +250,7 @@ def _inject_and_count(a8, cells, err_count, code_bits):
 
 
 class NumbaEngineBackend:
-    """Compiled kernels for the binomial fast path.
+    """Compiled kernels for every engine hook.
 
     ``preferred_rebuild_fraction`` is raised well above the numpy
     default (0.02): the compiled incremental walk costs ~9 scalar
@@ -289,36 +292,30 @@ class NumbaEngineBackend:
     def self_check(self):
         """Compile every kernel on tiny inputs and verify it against
         the numpy reference; raises on any mismatch."""
-        from ..bitplane import BitPlane, popcount_rows
-        from ..controller import neighborhood_class_map
-        from ..sampling import class_index
+        from ..bitplane import BitPlane
+        from . import get_backend
+
+        ref = get_backend("numpy")
+
+        def same(got, want):
+            return all(np.array_equal(a, b) for a, b in zip(got, want))
 
         rng = np.random.default_rng(0)
         lanes = rng.integers(0, 2**63, size=(5, 2)).astype("<u8")
         other = lanes.copy()
         other[2, 1] ^= np.uint64(0b1011)
-        expect = popcount_rows(lanes ^ other)
         if not np.array_equal(self.xor_popcount_rows(lanes, other),
-                              expect):
+                              ref.xor_popcount_rows(lanes, other)):
             raise AssertionError("xor_popcount_rows mismatch")
 
         rows = cols = 6
         bits = rng.integers(0, 2, size=rows * cols).astype(np.int8)
-        nd, ng, ci, hist = self.rebuild_class_maps(bits, rows, cols)
-        nd_ref, ng_ref = neighborhood_class_map(
-            bits.reshape(rows, cols))
-        ci_ref = class_index(bits, nd_ref.reshape(-1),
-                             ng_ref.reshape(-1))
-        if not (np.array_equal(nd, nd_ref.reshape(-1))
-                and np.array_equal(ng, ng_ref.reshape(-1))
-                and np.array_equal(ci, ci_ref)
-                and np.array_equal(hist, np.bincount(ci_ref,
-                                                     minlength=50))):
+        maps = self.rebuild_class_maps(bits, rows, cols)
+        if not same(maps, ref.rebuild_class_maps(bits, rows, cols)):
             raise AssertionError("rebuild_class_maps mismatch")
-
-        order, bounds = self.group_class_members(ci, hist)
-        ref = np.argsort(ci, kind="stable")
-        if not np.array_equal(order, ref):
+        ci, hist = maps[2], maps[3]
+        if not same(self.group_class_members(ci, hist),
+                    ref.group_class_members(ci, hist)):
             raise AssertionError("group_class_members mismatch")
 
         # 4 x 8-bit words over 36 cells: cells 32..35 are tail.
@@ -370,10 +367,9 @@ class NumbaEngineBackend:
         changed = np.ascontiguousarray(changed, dtype=np.int64)
         new_bits = np.ascontiguousarray(new_bits, dtype=np.int8)
         scratch = np.empty(changed.size * 9, dtype=np.int64)
-        _apply_class_changes(changed, new_bits, maps.nd, maps.ng,
-                             maps.class_idx, maps.hist, mask, scratch,
-                             maps.rows, maps.cols)
-        return True
+        return int(_apply_class_changes(
+            changed, new_bits, maps.nd, maps.ng, maps.class_idx,
+            maps.hist, mask, scratch, maps.rows, maps.cols))
 
     def group_class_members(self, class_idx, hist):
         bounds = np.empty(hist.size + 1, dtype=np.int64)

@@ -18,21 +18,31 @@ Two evaluation modes:
   buried under Monte-Carlo noise. It draws nothing, so its output is
   bit-identical for every ``sampler``.
 
-Monte Carlo itself has two samplers (see :mod:`repro.memsys.sampling`):
+Monte Carlo runs one batch loop over one of two *states*, chosen by the
+sampler (see :mod:`repro.memsys.sampling`):
 
-* ``sampler="bernoulli"`` — the reference path: one uniform per cell
-  per mechanism against dense int8 state. Cost O(cells) per batch.
+* ``sampler="bernoulli"`` — the reference: one uniform per cell per
+  mechanism against dense int8 planes. Cost O(cells) per batch.
 * ``sampler="binomial"`` — the rare-event fast path: flip *counts* are
   drawn per coupling class (at most 50 distinct probabilities) and
   placed by index choice; ``intended``/``actual`` live bit-packed in
-  uint64 lanes (:mod:`repro.memsys.bitplane`) with XOR + popcount
-  error counting; the class maps refresh incrementally around the
+  uint64 lanes (:mod:`repro.memsys.bitplane`) with exact per-word
+  error counters; the class maps refresh incrementally around the
   cells that actually changed. Cost O(classified + flips), which is
   what makes nominal_wer <= 1e-6 scenarios reachable.
+
+A state owns its planes, its draws and their placement; the loop owns
+batching, ECC outcome booking, scrub bookkeeping, checkpoints and
+progress. Every per-cell probability is gathered from the
+controller's flat per-class tables by class index, and every kernel is
+a hook of the engine backend (:mod:`repro.memsys.backends`), the numpy
+reference by default.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -44,8 +54,12 @@ from ..device.mtj import MTJDevice
 from ..errors import ParameterError
 from ..experiments.base import ExperimentResult
 from ..resilience.checkpoint import as_checkpointer, checkpoint_key
-from ..validation import require_non_negative, require_positive
-from .backends import resolve_backend
+from ..validation import (
+    require_int_in_range,
+    require_non_negative,
+    require_positive,
+)
+from .backends import get_backend, resolve_backend
 from .bitplane import BitPlane
 from .controller import ArrayController
 from .ecc import DecodeOutcome, NoECC, make_ecc
@@ -274,13 +288,13 @@ class ReliabilityEngine:
         counts over bit-packed state). Statistically equivalent;
         ``expected_rates`` is identical under both.
     backend:
-        Compute backend for the binomial fast path's hot kernels (see
+        Compute backend of the engine's kernels (see
         :mod:`repro.memsys.backends`): a registry name (``"numpy"`` /
         ``"numba"``), a backend instance, or ``None`` to consult
         ``REPRO_ENGINE_BACKEND`` and default to numpy. Resolved once at
         construction; a ``numba`` request degrades to numpy (warn once)
-        when numba is absent. The bernoulli reference path never uses
-        it.
+        when numba is absent. Every backend yields identical seeded
+        results.
     half_select_exposure:
         Half-selects accrued per cell per transaction — the cross-point
         sneak-path term (see :mod:`repro.memsys.topology`). Each batch
@@ -344,12 +358,13 @@ class ReliabilityEngine:
         retention exposure refresh at batch boundaries (the background
         data drifts slowly relative to a batch).
 
-        The constructor's ``sampler`` selects how flips are drawn: the
-        ``bernoulli`` reference draws one uniform per cell per
-        mechanism; the ``binomial`` fast path draws per-class flip
-        counts over bit-packed state. Both are deterministic under a
-        seeded ``rng`` and statistically equivalent; their draw
-        streams (and therefore individual seeded counters) differ.
+        The constructor's ``sampler`` selects the state the loop drives:
+        the ``bernoulli`` reference draws one uniform per cell per
+        mechanism over dense int8 planes; the ``binomial`` fast path
+        draws per-class flip counts over bit-packed planes. Both are
+        deterministic under a seeded ``rng`` and statistically
+        equivalent; their draw streams (and therefore individual seeded
+        counters) differ.
 
         ``progress``, when given, is called after every batch as
         ``progress(transactions_done, n_transactions)``. It is also the
@@ -382,15 +397,16 @@ class ReliabilityEngine:
         the draw stream: a checkpointed run is bit-identical to an
         unprotected one.
         """
-        require_positive(n_transactions, "n_transactions")
-        require_positive(batch_size, "batch_size")
+        n_transactions = require_int_in_range(
+            n_transactions, "n_transactions", 1, math.inf)
+        batch_size = require_int_in_range(batch_size, "batch_size", 1,
+                                          math.inf)
         rng = np.random.default_rng(rng)
         ckpt = as_checkpointer(checkpoint, every=checkpoint_every)
         key = restored = identity = None
         if ckpt is not None:
-            key = checkpoint_key((self._config(),
-                                  int(n_transactions),
-                                  int(batch_size)))
+            key = checkpoint_key((self._config(), n_transactions,
+                                  batch_size))
             # The run's identity record: every config field flattened,
             # plus the shape and a digest of the generator's *initial*
             # state (the seed's footprint — deliberately outside the
@@ -398,8 +414,8 @@ class ReliabilityEngine:
             # inside the identity so resuming with the wrong seed is a
             # named error rather than a silent seed swap).
             identity = {
-                "n_transactions": int(n_transactions),
-                "batch_size": int(batch_size),
+                "n_transactions": n_transactions,
+                "batch_size": batch_size,
                 "seed_state": checkpoint_key(rng.bit_generator.state),
                 **{str(k): v for k, v in self._config().items()},
             }
@@ -409,37 +425,15 @@ class ReliabilityEngine:
                     return restored["result"]
         profiler = PhaseProfiler() if profile else None
         t0 = time.perf_counter()
-        if self.sampler == "binomial":
-            result = self._run_binomial(int(n_transactions), rng,
-                                        int(batch_size), progress,
-                                        profiler, ckpt, key, restored,
-                                        identity)
-        else:
-            result = self._run_bernoulli(int(n_transactions), rng,
-                                         int(batch_size), progress,
-                                         profiler, ckpt, key, restored,
-                                         identity)
-        if profiler is not None:
-            result.extras["profile"] = profiler.breakdown(
-                total=time.perf_counter() - t0)
-        return result
-
-    # -- bernoulli reference path -------------------------------------------
-
-    def _run_bernoulli(self, n_transactions, rng, batch_size,
-                       progress=None, profiler=None, ckpt=None,
-                       key=None, restored=None, identity=None):
-        """One uniform per cell per mechanism over dense int8 state."""
         ctl = self.controller
         words = ctl.words
-        rows, cols = ctl.layout.rows, ctl.layout.cols
-
+        state_cls = (_PackedState if self.sampler == "binomial"
+                     else _DenseState)
         if restored is not None:
             # Resume mid-stream: the saved RNG state already accounts
             # for every draw up to the checkpointed boundary (including
             # initial_bits), so nothing is drawn here.
-            intended = np.asarray(restored["intended"], dtype=np.int8)
-            actual = np.asarray(restored["actual"], dtype=np.int8)
+            state = state_cls.resume(restored, ctl, self.backend)
             self.workload = restored["workload"]
             self.scrub = restored["scrub"]
             self.workload.bind(words)
@@ -448,69 +442,54 @@ class ReliabilityEngine:
             remaining = int(restored["remaining"])
             rng.bit_generator.state = restored["rng_state"]
         else:
-            intended = np.zeros(rows * cols, dtype=np.int8)
-            initial = self.workload.initial_bits(rows, cols, rng)
-            intended[:] = np.asarray(initial,
-                                     dtype=np.int8).reshape(-1)
-            actual = intended.copy()
+            state = state_cls.start(
+                self.workload.initial_bits(ctl.layout.rows,
+                                           ctl.layout.cols, rng),
+                ctl, self.backend)
             self.workload.bind(words)
             self.workload.reset()
             self.scrub.reset()
             result = MemsysResult(config=self._config())
             now = 0.0
-            remaining = int(n_transactions)
-        data_positions = ctl.ecc.data_positions
+            remaining = n_transactions
         while remaining > 0:
-            n = min(int(batch_size), remaining)
+            n = min(batch_size, remaining)
             remaining -= n
             batch = self.workload.batch(n, words.n_words, rng)
             with _prof(profiler, "classify"):
-                nd, ng = ctl.class_maps(actual)
+                state.classify()
 
             # Retention exposure accrued over this batch's window; a
             # due scrub repairs the accumulation *before* the window's
             # accesses observe it.
             dt = n * self.cycle_time
             now += dt
-            with _prof(profiler, "draw"):
-                p_ret = ctl.retention_flip_probability(actual, nd, ng,
-                                                       dt)
-                flips = (rng.random(actual.shape)
-                         < p_ret).astype(np.int8)
-            with _prof(profiler, "place"):
-                actual ^= flips
-            result.retention_flips += int(flips.sum())
+            result.retention_flips += self._background(
+                state, ctl.retention_class_probability(dt), rng,
+                profiler)
             if self.half_select_exposure > 0.0:
                 # Cross-point sneak term: every cell accrued ~exposure
                 # half-selects per transaction of this batch's window.
-                with _prof(profiler, "draw"):
-                    p_hs = ctl.half_select_probability(
-                        actual, nd, ng,
-                        n * self.half_select_exposure)
-                    sneak = (rng.random(actual.shape)
-                             < p_hs).astype(np.int8)
-                with _prof(profiler, "place"):
-                    actual ^= sneak
-                result.sneak_flips += int(sneak.sum())
+                result.sneak_flips += self._background(
+                    state, ctl.half_select_class_probability(
+                        n * self.half_select_exposure), rng, profiler)
             if self.scrub.due(now):
                 with _prof(profiler, "scrub"):
-                    self._run_scrub(intended, actual, rng, result)
+                    self._scrub(state, rng, result)
                 self.scrub.mark_done(now)
 
             rank = _occurrence_rank(batch.word)
             for r in range(int(rank.max()) + 1 if len(batch) else 0):
                 sel = rank == r
-                self._apply_round(
-                    batch.word[sel], batch.is_write[sel], intended,
-                    actual, nd, ng, data_positions, rng, result,
-                    profiler)
+                self._round(state, batch.word[sel], batch.is_write[sel],
+                            rng, result, profiler)
 
             result.n_transactions += n
             if ckpt is not None and remaining > 0:
                 ckpt.maybe_save(result.n_transactions, lambda: {
                     "key": key, "identity": identity,
                     "rng_state": rng.bit_generator.state,
-                    "intended": intended, "actual": actual,
+                    **state.snapshot(),
                     "workload": self.workload, "scrub": self.scrub,
                     "result": result, "now": now,
                     "remaining": remaining})
@@ -520,283 +499,63 @@ class ReliabilityEngine:
         result.simulated_time = now
         if ckpt is not None:
             ckpt.finalize(key, result, identity=identity)
+        if profiler is not None:
+            result.extras["profile"] = profiler.breakdown(
+                total=time.perf_counter() - t0)
         return result
 
-    def _apply_round(self, round_words, is_write, intended, actual,
-                     nd, ng, data_positions, rng, result,
-                     profiler=None):
+    def _background(self, state, p_class, rng, profiler):
+        """Draw and place one whole-array mechanism; returns the flips."""
+        with _prof(profiler, "draw"):
+            flips = state.draw_background(p_class, rng)
+        if flips.size:
+            with _prof(profiler, "place"):
+                state.toggle(flips)
+        return int(flips.size)
+
+    def _round(self, state, round_words, is_write, rng, result,
+               profiler):
         """One round: every word in ``round_words`` is unique."""
-        ctl = self.controller
-        words = ctl.words
-        ecc = ctl.ecc
+        ecc = self.controller.ecc
 
         w_words = round_words[is_write]
         result.n_writes += int(w_words.size)
         if w_words.size:
-            data = self._write_data(w_words, words, data_positions, rng)
+            data = self._write_data(w_words, rng)
             with _prof(profiler, "ecc"):
                 cw = ecc.encode(data)
-            cells = words.cells[w_words]
             with _prof(profiler, "draw"):
-                p_wr = ctl.write_error_probability(cw, nd[cells],
-                                                   ng[cells])
-                errs = (rng.random(cw.shape) < p_wr).astype(np.int8)
+                flips = state.draw_write(w_words, cw, rng)
             with _prof(profiler, "place"):
-                intended[cells] = cw
-                actual[cells] = cw ^ errs
+                state.write_words(w_words, cw, flips)
             result.bits_written += int(cw.size)
-            result.write_errors += int(errs.sum())
+            result.write_errors += int(flips.size)
 
         # Reads: sense, classify via ECC, write back correctables, then
         # apply the disturb of the read current to the stored state.
         r_words = round_words[~is_write]
         result.n_reads += int(r_words.size)
         if r_words.size:
-            cells = words.cells[r_words]
-            with _prof(profiler, "ecc"):
-                wrong = actual[cells] != intended[cells]
-                n_err = wrong.sum(axis=1)
-                outcomes = ecc.classify_errors(n_err)
-                result.bits_read += int(cells.size)
-                result.raw_bit_errors += int(n_err.sum())
-                uncorr = outcomes >= DecodeOutcome.DETECTED
-                result.uncorrectable_bit_errors += int(
-                    n_err[uncorr].sum())
-                result.words_ok += int(
-                    (outcomes == DecodeOutcome.OK).sum())
-                corrected = outcomes == DecodeOutcome.CORRECTED
-                result.words_corrected += int(corrected.sum())
-                result.words_detected += int(
-                    (outcomes == DecodeOutcome.DETECTED).sum())
-                result.words_silent += int(
-                    (outcomes == DecodeOutcome.SILENT).sum())
-            if self.writeback and np.any(corrected):
-                with _prof(profiler, "place"):
-                    self._rewrite(cells[corrected], intended, actual,
-                                  nd, ng, rng, result)
-            with _prof(profiler, "draw"):
-                p_rd = ctl.disturb_probability(
-                    actual[cells], nd[cells], ng[cells])
-                flips = (rng.random(cells.shape) < p_rd).astype(np.int8)
-            with _prof(profiler, "place"):
-                actual[cells] ^= flips
-            result.disturb_flips += int(flips.sum())
-
-    def _write_data(self, uniq_words, word_map, data_positions, rng):
-        """Data stored by a batch of writes (pattern-aware)."""
-        if isinstance(self.workload, StressPatternWorkload):
-            return self.workload.background_data(
-                uniq_words, word_map, data_positions)
-        return self.workload.write_data(
-            uniq_words, self.controller.ecc.n_data, rng)
-
-    def _rewrite(self, cells, intended, actual, nd, ng, rng, result):
-        """Rewrite whole words through the (fallible) write path."""
-        cw = intended[cells]
-        p_wr = self.controller.write_error_probability(
-            cw, nd[cells], ng[cells])
-        errs = (rng.random(cw.shape) < p_wr).astype(np.int8)
-        actual[cells] = cw ^ errs
-        result.bits_written += int(cw.size)
-        result.write_errors += int(errs.sum())
-
-    def _run_scrub(self, intended, actual, rng, result):
-        """One scrub pass over every word."""
-        ctl = self.controller
-        cells = ctl.words.cells
-        nd, ng = ctl.class_maps(actual)
-        n_err = (actual[cells] != intended[cells]).sum(axis=1)
-        outcomes = ctl.ecc.classify_errors(n_err)
-        fixable = ((outcomes == DecodeOutcome.CORRECTED)
-                   | (outcomes == DecodeOutcome.OK)) & (n_err > 0)
-        result.n_scrubs += 1
-        result.scrub_corrected_words += int(fixable.sum())
-        result.scrub_uncorrectable_words += int(
-            (outcomes >= DecodeOutcome.DETECTED).sum())
-        if np.any(fixable):
-            self._rewrite(cells[fixable], intended, actual, nd, ng,
-                          rng, result)
-
-    # -- binomial fast path -------------------------------------------------
-    #
-    # Same batch/round structure as the reference, but flips are drawn
-    # per coupling class (50 binomials instead of one uniform per
-    # cell), state is bit-packed, class maps refresh incrementally, and
-    # an exact array-wide wrong-bit counter short-circuits the common
-    # all-clean read case. One deliberate second-order difference: the
-    # reference recomputes class maps inside a scrub pass for its
-    # rewrites, the fast path reuses the batch's maps — at rare-event
-    # rates the maps differ only at the handful of freshly flipped
-    # cells.
-
-    def _run_binomial(self, n_transactions, rng, batch_size,
-                      progress=None, profiler=None, ckpt=None,
-                      key=None, restored=None, identity=None):
-        """Class-grouped binomial draws over bit-packed planes."""
-        ctl = self.controller
-        words = ctl.words
-        rows, cols = ctl.layout.rows, ctl.layout.cols
-        backend = self.backend
-
-        if restored is not None:
-            # Resume mid-stream: planes and exact error counters come
-            # from the snapshot; the class maps are a pure function of
-            # the actual plane and rebuild from it (the loop refreshes
-            # them at the batch boundary anyway).
-            intended = restored["intended"]
-            actual = restored["actual"]
-            state = _PackedState(
-                intended, actual,
-                IncrementalClassMaps(rows, cols, actual,
-                                     backend=backend),
-                ctl, backend=backend)
-            state.err_count = np.asarray(restored["err_count"],
-                                         dtype=np.int16)
-            state.wrong_bits = int(restored["wrong_bits"])
-            self.workload = restored["workload"]
-            self.scrub = restored["scrub"]
-            self.workload.bind(words)
-            result = restored["result"]
-            now = float(restored["now"])
-            remaining = int(restored["remaining"])
-            rng.bit_generator.state = restored["rng_state"]
-        else:
-            initial = self.workload.initial_bits(rows, cols, rng)
-            flat = np.asarray(initial, dtype=np.int8).reshape(-1)
-            intended = BitPlane.from_bits(flat, words.n_words,
-                                          ctl.ecc.n_code)
-            state = _PackedState(intended, intended.copy(),
-                                 IncrementalClassMaps(rows, cols,
-                                                      intended,
-                                                      backend=backend),
-                                 ctl, backend=backend)
-            self.workload.bind(words)
-            self.workload.reset()
-            self.scrub.reset()
-            result = MemsysResult(config=self._config())
-            now = 0.0
-            remaining = int(n_transactions)
-        data_positions = ctl.ecc.data_positions
-        while remaining > 0:
-            n = min(int(batch_size), remaining)
-            remaining -= n
-            batch = self.workload.batch(n, words.n_words, rng)
-            with _prof(profiler, "classify"):
-                state.maps.refresh(state.actual)
-
-            dt = n * self.cycle_time
-            now += dt
-            with _prof(profiler, "draw"):
-                flips = sample_class_flips(
-                    state.maps.class_idx,
-                    ctl.retention_class_probability(dt), rng,
-                    hist=state.maps.hist, backend=backend)
-            if flips.size:
-                with _prof(profiler, "place"):
-                    state.toggle(flips)
-            result.retention_flips += int(flips.size)
-            if self.half_select_exposure > 0.0:
-                with _prof(profiler, "draw"):
-                    sneak = sample_class_flips(
-                        state.maps.class_idx,
-                        ctl.half_select_class_probability(
-                            n * self.half_select_exposure), rng,
-                        hist=state.maps.hist, backend=backend)
-                if sneak.size:
-                    with _prof(profiler, "place"):
-                        state.toggle(sneak)
-                result.sneak_flips += int(sneak.size)
-            if self.scrub.due(now):
-                with _prof(profiler, "scrub"):
-                    self._run_scrub_binomial(state, rng, result)
-                self.scrub.mark_done(now)
-
-            rank = _occurrence_rank(batch.word)
-            for r in range(int(rank.max()) + 1 if len(batch) else 0):
-                sel = rank == r
-                self._apply_round_binomial(
-                    batch.word[sel], batch.is_write[sel], state,
-                    data_positions, rng, result, profiler)
-
-            result.n_transactions += n
-            if ckpt is not None and remaining > 0:
-                ckpt.maybe_save(result.n_transactions, lambda: {
-                    "key": key, "identity": identity,
-                    "rng_state": rng.bit_generator.state,
-                    "intended": state.intended,
-                    "actual": state.actual,
-                    "err_count": state.err_count,
-                    "wrong_bits": state.wrong_bits,
-                    "workload": self.workload, "scrub": self.scrub,
-                    "result": result, "now": now,
-                    "remaining": remaining})
-            if progress is not None:
-                progress(result.n_transactions, n_transactions)
-
-        result.simulated_time = now
-        if ckpt is not None:
-            ckpt.finalize(key, result, identity=identity)
-        return result
-
-    def _apply_round_binomial(self, round_words, is_write, state,
-                              data_positions, rng, result,
-                              profiler=None):
-        """One unique-word round over the packed state."""
-        ctl = self.controller
-        words = ctl.words
-        ecc = ctl.ecc
-        maps = state.maps
-
-        w_words = round_words[is_write]
-        result.n_writes += int(w_words.size)
-        if w_words.size:
-            data = self._write_data(w_words, words, data_positions, rng)
-            with _prof(profiler, "ecc"):
-                cw = ecc.encode(data)
-            cells = words.cells[w_words].reshape(-1)
-            cw_flat = cw.reshape(-1)
-            with _prof(profiler, "draw"):
-                flips = sample_thinned_flips(
-                    cells.size, state.wer_p,
-                    lambda cand: maps.cell_classes(cw_flat[cand],
-                                                   cells[cand]),
-                    rng, p_max=state.wer_pmax)
-            with _prof(profiler, "place"):
-                state.write_words(w_words, cw, cells[flips])
-            result.bits_written += int(cw.size)
-            result.write_errors += int(flips.size)
-
-        r_words = round_words[~is_write]
-        result.n_reads += int(r_words.size)
-        if r_words.size:
-            cells = words.cells[r_words].reshape(-1)
-            result.bits_read += int(cells.size)
-            if state.wrong_bits:
-                with _prof(profiler, "ecc"):
-                    self._book_read_errors(r_words, state, rng, result)
-            else:
+            result.bits_read += int(r_words.size) * ecc.n_code
+            if state.clean:
                 # No mismatched bit anywhere in the array: every read
                 # is clean without touching any per-word array.
                 result.words_ok += int(r_words.size)
-            # Disturb of the read current: candidates are classified
-            # lazily, from the post-rewrite stored bits.
-            actual = state.actual
+            else:
+                with _prof(profiler, "ecc"):
+                    self._book_reads(state, r_words, rng, result)
             with _prof(profiler, "draw"):
-                flips = sample_thinned_flips(
-                    cells.size, state.disturb_p,
-                    lambda cand: maps.cell_classes(
-                        actual.get_cells(cells[cand]), cells[cand]),
-                    rng, p_max=state.disturb_pmax)
+                flips = state.draw_disturb(r_words, rng)
             if flips.size:
                 with _prof(profiler, "place"):
-                    state.toggle(cells[flips])
+                    state.toggle(flips)
             result.disturb_flips += int(flips.size)
 
-    def _book_read_errors(self, r_words, state, rng, result):
-        """ECC bookkeeping for a read round with live errors present."""
-        ecc = self.controller.ecc
-        n_err = state.err_count[r_words]
-        outcomes = ecc.classify_errors(n_err)
+    def _book_reads(self, state, r_words, rng, result):
+        """Book the ECC outcome of reading ``r_words``, then write back
+        the corrected words."""
+        n_err = state.word_errors(r_words)
+        outcomes = self.controller.ecc.classify_errors(n_err)
         by_outcome = np.bincount(outcomes, minlength=4)
         result.raw_bit_errors += int(n_err.sum())
         result.words_ok += int(by_outcome[DecodeOutcome.OK])
@@ -810,29 +569,28 @@ class ReliabilityEngine:
             result.uncorrectable_bit_errors += int(n_err[uncorr].sum())
         if self.writeback and by_outcome[DecodeOutcome.CORRECTED]:
             corrected = outcomes == DecodeOutcome.CORRECTED
-            self._rewrite_binomial(r_words[corrected], state, rng,
-                                   result)
+            self._rewrite(state, r_words[corrected], rng, result)
 
-    def _rewrite_binomial(self, word_idx, state, rng, result):
-        """Rewrite whole words through the (fallible) write path."""
+    def _write_data(self, words, rng):
+        """Data stored by a batch of writes (pattern-aware)."""
         ctl = self.controller
-        cells = ctl.words.cells[word_idx].reshape(-1)
-        maps = state.maps
-        intended = state.intended
-        flips = sample_thinned_flips(
-            cells.size, state.wer_p,
-            lambda cand: maps.cell_classes(
-                intended.get_cells(cells[cand]), cells[cand]),
-            rng, p_max=state.wer_pmax)
-        state.restore_words(word_idx, cells[flips])
-        result.bits_written += int(cells.size)
+        if isinstance(self.workload, StressPatternWorkload):
+            return self.workload.background_data(
+                words, ctl.words, ctl.ecc.data_positions)
+        return self.workload.write_data(words, ctl.ecc.n_data, rng)
+
+    def _rewrite(self, state, word_idx, rng, result):
+        """Rewrite whole words through the (fallible) write path."""
+        flips = state.draw_rewrite(word_idx, rng)
+        state.restore_words(word_idx, flips)
+        result.bits_written += (int(word_idx.size)
+                                * self.controller.ecc.n_code)
         result.write_errors += int(flips.size)
 
-    def _run_scrub_binomial(self, state, rng, result):
-        """One scrub pass over the maintained per-word error counts."""
-        ctl = self.controller
-        n_err = state.err_count
-        outcomes = ctl.ecc.classify_errors(n_err)
+    def _scrub(self, state, rng, result):
+        """One scrub pass over every word."""
+        n_err = state.word_errors()
+        outcomes = self.controller.ecc.classify_errors(n_err)
         fixable = ((outcomes == DecodeOutcome.CORRECTED)
                    | (outcomes == DecodeOutcome.OK)) & (n_err > 0)
         result.n_scrubs += 1
@@ -840,8 +598,8 @@ class ReliabilityEngine:
         result.scrub_uncorrectable_words += int(
             (outcomes >= DecodeOutcome.DETECTED).sum())
         if np.any(fixable):
-            self._rewrite_binomial(np.flatnonzero(fixable), state, rng,
-                                   result)
+            self._rewrite(state.scrub_view(), np.flatnonzero(fixable),
+                          rng, result)
 
     # -- expectation mode ---------------------------------------------------
 
@@ -861,19 +619,17 @@ class ReliabilityEngine:
         ctl = self.controller
         rows, cols = ctl.layout.rows, ctl.layout.cols
         rng = np.random.default_rng(rng)
-        bits = np.asarray(self.workload.initial_bits(rows, cols, rng),
-                          dtype=np.int8).reshape(-1)
-        nd, ng = ctl.class_maps(bits)
-        cells = ctl.words.cells
-        b = bits[cells]
-        p_wr = ctl.write_error_probability(b, nd[cells], ng[cells])
-        p_rd = ctl.disturb_probability(b, nd[cells], ng[cells])
-        p_ret = ctl.retention_flip_probability(
-            b, nd[cells], ng[cells], self.cycle_time)
+        bits = self.workload.initial_bits(rows, cols, rng)
+        class_idx = self.backend.rebuild_class_maps(
+            np.asarray(bits, dtype=np.int8), rows, cols)[2]
+        ci = class_idx[ctl.words.cells]
+        p_wr = ctl.wer_class_probability()[ci]
+        p_rd = ctl.disturb_class_probability()[ci]
+        p_ret = ctl.retention_class_probability(self.cycle_time)[ci]
         p = 1.0 - (1.0 - p_wr) * (1.0 - p_rd) * (1.0 - p_ret)
         if self.half_select_exposure > 0.0:
-            p_hs = ctl.half_select_probability(
-                b, nd[cells], ng[cells], self.half_select_exposure)
+            p_hs = ctl.half_select_class_probability(
+                self.half_select_exposure)[ci]
             p = 1.0 - (1.0 - p) * (1.0 - p_hs)
         p = np.clip(p, 0.0, 1.0 - 1e-12)
 
@@ -896,9 +652,127 @@ class ReliabilityEngine:
         }
 
 
-class _PackedState:
-    """Packed planes + class maps + exact per-word error counters.
+# -- engine states --------------------------------------------------------
+#
+# ``ReliabilityEngine.run`` drives one of two states through the same
+# batch loop. A state owns the planes and how flips are drawn and
+# placed; every draw returns the flat indices of the cells that flip,
+# and the engine books the counters. All probabilities are gathered
+# from the controller's flat per-class tables by class index.
 
+
+class _EngineState:
+    """What both states share: planes, backend, and the clipped
+    per-class write/disturb tables (clipping to [0, 1] never changes
+    the outcome of a ``uniform < p`` draw, and the thinned draws need
+    it)."""
+
+    #: True only when no cell anywhere disagrees with its intended
+    #: value, so reads may skip the per-word error gather.
+    clean = False
+
+    def __init__(self, intended, actual, controller, backend=None):
+        self.intended = intended
+        self.actual = actual
+        self.controller = controller
+        self.backend = get_backend("numpy") if backend is None else backend
+        # Run-scoped clipped copies of the controller's fixed tables
+        # (plus their maxima), so the thinned draws skip a table scan
+        # per call without leaking state onto the engine.
+        self.wer_p = np.clip(controller.wer_class_probability(), 0.0,
+                             1.0)
+        self.wer_pmax = float(self.wer_p.max())
+        self.disturb_p = np.clip(
+            controller.disturb_class_probability(), 0.0, 1.0)
+        self.disturb_pmax = float(self.disturb_p.max())
+
+    def scrub_view(self):
+        """The state a scrub pass rewrites through."""
+        return self
+
+
+class _DenseState(_EngineState):
+    """Dense int8 planes: the ``bernoulli`` reference.
+
+    One uniform per cell per mechanism. Neighbor classes freeze at each
+    batch boundary (:meth:`classify`); a scrub pass reclassifies for
+    its own rewrites (:meth:`scrub_view`).
+    """
+
+    @classmethod
+    def start(cls, bits, controller, backend):
+        intended = np.array(bits, dtype=np.int8).reshape(-1)
+        return cls(intended, intended.copy(), controller, backend)
+
+    @classmethod
+    def resume(cls, restored, controller, backend):
+        return cls(np.asarray(restored["intended"], dtype=np.int8),
+                   np.asarray(restored["actual"], dtype=np.int8),
+                   controller, backend)
+
+    def snapshot(self):
+        return {"intended": self.intended, "actual": self.actual}
+
+    def classify(self):
+        layout = self.controller.layout
+        class_idx = self.backend.rebuild_class_maps(
+            self.actual, layout.rows, layout.cols)[2]
+        # The neighbor part (nd * 5 + ng) of every cell's class; a
+        # cell holding bit b is in class b * 25 + neigh.
+        self.neigh = class_idx % 25
+
+    def scrub_view(self):
+        view = copy.copy(self)
+        view.classify()
+        return view
+
+    def _draw(self, cells, bits, p_class, rng):
+        hit = rng.random(cells.shape) < p_class[bits * 25
+                                                + self.neigh[cells]]
+        return cells[hit]
+
+    def draw_background(self, p_class, rng):
+        hit = rng.random(self.actual.shape) < p_class[self.actual * 25
+                                                      + self.neigh]
+        return np.flatnonzero(hit)
+
+    def draw_write(self, word_idx, cw, rng):
+        return self._draw(self.controller.words.cells[word_idx], cw,
+                          self.wer_p, rng)
+
+    def draw_rewrite(self, word_idx, rng):
+        cells = self.controller.words.cells[word_idx]
+        return self._draw(cells, self.intended[cells], self.wer_p, rng)
+
+    def draw_disturb(self, word_idx, rng):
+        cells = self.controller.words.cells[word_idx]
+        return self._draw(cells, self.actual[cells], self.disturb_p, rng)
+
+    def word_errors(self, word_idx=slice(None)):
+        cells = self.controller.words.cells[word_idx]
+        return (self.actual[cells] != self.intended[cells]).sum(axis=1)
+
+    def toggle(self, flat_idx):
+        self.actual[flat_idx] ^= 1
+
+    def write_words(self, word_idx, cw, flip_cells):
+        cells = self.controller.words.cells[word_idx]
+        self.intended[cells] = cw
+        self.actual[cells] = cw
+        self.actual[flip_cells] ^= 1
+
+    def restore_words(self, word_idx, flip_cells):
+        cells = self.controller.words.cells[word_idx]
+        self.actual[cells] = self.intended[cells]
+        self.actual[flip_cells] ^= 1
+
+
+class _PackedState(_EngineState):
+    """Packed planes + class maps + exact per-word error counters: the
+    ``binomial`` fast path.
+
+    Flips are drawn per coupling class (50 binomials instead of one
+    uniform per cell) and the class maps refresh incrementally.
     ``err_count[w]`` tracks, exactly, how many cells of word ``w``
     currently disagree with their intended value; ``wrong_bits`` is its
     array-wide total. Both are maintained at every mutation — O(flips)
@@ -908,44 +782,107 @@ class _PackedState:
     planes stay the ground truth: ``BitPlane.diff_counts`` (XOR +
     popcount) must agree with ``err_count`` at any instant, which the
     equivalence tests assert.
+
+    One deliberate second-order difference from the dense reference: a
+    scrub pass rewrites against the batch's class maps instead of
+    reclassifying — at rare-event rates the maps differ only at the
+    handful of freshly flipped cells.
     """
 
     def __init__(self, intended, actual, maps, controller,
                  backend=None):
-        self.intended = intended
-        self.actual = actual
+        super().__init__(intended, actual, controller, backend)
         self.maps = maps
-        self.backend = backend
         self.err_count = np.zeros(intended.n_words, dtype=np.int16)
         self.wrong_bits = 0
-        # Run-scoped clipped copies of the controller's fixed per-class
-        # tables (plus their maxima), so the thinned draws skip a table
-        # scan per call without leaking state onto the engine.
-        self.wer_p = np.clip(controller.wer_class_probability(),
-                             0.0, 1.0)
-        self.wer_pmax = float(self.wer_p.max())
-        self.disturb_p = np.clip(
-            controller.disturb_class_probability(), 0.0, 1.0)
-        self.disturb_pmax = float(self.disturb_p.max())
+
+    @classmethod
+    def start(cls, bits, controller, backend):
+        layout = controller.layout
+        intended = BitPlane.from_bits(
+            np.asarray(bits, dtype=np.int8).reshape(-1),
+            controller.words.n_words, controller.ecc.n_code)
+        maps = IncrementalClassMaps(layout.rows, layout.cols, intended,
+                                    backend=backend)
+        return cls(intended, intended.copy(), maps, controller, backend)
+
+    @classmethod
+    def resume(cls, restored, controller, backend):
+        # The class maps are a pure function of the actual plane and
+        # rebuild from it; the exact error counters are restored.
+        layout = controller.layout
+        actual = restored["actual"]
+        maps = IncrementalClassMaps(layout.rows, layout.cols, actual,
+                                    backend=backend)
+        state = cls(restored["intended"], actual, maps, controller,
+                    backend)
+        state.err_count = np.asarray(restored["err_count"],
+                                     dtype=np.int16)
+        state.wrong_bits = int(restored["wrong_bits"])
+        return state
+
+    def snapshot(self):
+        return {"intended": self.intended, "actual": self.actual,
+                "err_count": self.err_count,
+                "wrong_bits": self.wrong_bits}
+
+    @property
+    def clean(self):
+        return self.wrong_bits == 0
+
+    def classify(self):
+        self.maps.refresh(self.actual)
+
+    def _draw(self, word_idx, bits_at, p_class, p_max, rng):
+        """Thinned draw over the cells of ``word_idx``.
+
+        Word ``w`` holds cells ``[w * code_bits, (w + 1) * code_bits)``
+        (the :class:`~repro.memsys.controller.WordMap` layout), so only
+        the candidates' cells are ever computed, and only they are
+        classified; ``bits_at(pos, cells)`` gives the bits they hold.
+        """
+        code_bits = self.actual.code_bits
+
+        def cells_at(pos):
+            return word_idx[pos // code_bits] * code_bits + pos % code_bits
+
+        def class_of(pos):
+            cells = cells_at(pos)
+            return self.maps.cell_classes(bits_at(pos, cells), cells)
+
+        return cells_at(sample_thinned_flips(
+            word_idx.size * code_bits, p_class, class_of, rng,
+            p_max=p_max))
+
+    def draw_background(self, p_class, rng):
+        return sample_class_flips(self.maps.class_idx, p_class, rng,
+                                  hist=self.maps.hist,
+                                  backend=self.backend)
+
+    def draw_write(self, word_idx, cw, rng):
+        cw_flat = cw.reshape(-1)
+        return self._draw(word_idx, lambda pos, cells: cw_flat[pos],
+                          self.wer_p, self.wer_pmax, rng)
+
+    def draw_rewrite(self, word_idx, rng):
+        return self._draw(
+            word_idx, lambda pos, cells: self.intended.get_cells(cells),
+            self.wer_p, self.wer_pmax, rng)
+
+    def draw_disturb(self, word_idx, rng):
+        # Candidates are classified lazily, from the post-rewrite
+        # stored bits.
+        return self._draw(
+            word_idx, lambda pos, cells: self.actual.get_cells(cells),
+            self.disturb_p, self.disturb_pmax, rng)
+
+    def word_errors(self, word_idx=slice(None)):
+        return self.err_count[word_idx]
 
     def toggle(self, flat_idx):
         """Flip ``actual`` at flat cells (duplicate-free indices)."""
-        if self.backend is not None:
-            delta = self.backend.toggle_and_count(
-                self.intended, self.actual, flat_idx, self.err_count)
-            if delta is not None:
-                # The fused kernel performed the toggles itself.
-                self.wrong_bits += int(delta)
-                return
-        mapped = flat_idx[flat_idx < self.actual.n_mapped]
-        if mapped.size:
-            wrong_before = (self.actual.get_cells(mapped)
-                            != self.intended.get_cells(mapped))
-            delta = (1 - 2 * wrong_before.astype(np.int16))
-            np.add.at(self.err_count,
-                      mapped // self.actual.code_bits, delta)
-            self.wrong_bits += int(delta.sum())
-        self.actual.toggle_cells(flat_idx)
+        self.wrong_bits += self.backend.toggle_and_count(
+            self.intended, self.actual, flat_idx, self.err_count)
 
     def write_words(self, word_idx, cw, flip_cells):
         """``intended = actual = cw``, then inject errors at
@@ -964,19 +901,9 @@ class _PackedState:
         self._inject(flip_cells)
 
     def _inject(self, flip_cells):
-        if not flip_cells.size:
-            return
-        if self.backend is not None:
-            injected = self.backend.inject_and_count(
+        if flip_cells.size:
+            self.wrong_bits += self.backend.inject_and_count(
                 self.actual, flip_cells, self.err_count)
-            if injected is not None:
-                self.wrong_bits += int(injected)
-                return
-        self.actual.toggle_cells(flip_cells)
-        np.add.at(self.err_count,
-                  flip_cells // self.actual.code_bits,
-                  np.int16(1))
-        self.wrong_bits += int(flip_cells.size)
 
 
 def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
@@ -993,7 +920,7 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
     :data:`repro.memsys.traffic.WORKLOADS`); ``sampler`` selects the
     Monte-Carlo draw strategy (see :data:`repro.memsys.sampling.\
 SAMPLERS` — use ``"binomial"`` for rare-event operating points);
-    ``backend`` selects the fast path's compute backend (see
+    ``backend`` selects the engine's compute backend (see
     :data:`repro.memsys.backends.BACKENDS`; default consults
     ``REPRO_ENGINE_BACKEND``, then numpy); ``sense`` optionally gates
     reads through a :class:`~repro.memsys.sense.SenseMarginModel`.
@@ -1003,7 +930,9 @@ SAMPLERS` — use ``"binomial"`` for rare-event operating points);
     1x1 case returns a plain :class:`ReliabilityEngine`; anything
     sharded (or any explicit non-flat ``topology``) returns a
     :class:`~repro.memsys.topology.TopologyEngine` over ``rows x
-    cols`` tiled into banks x subarrays.
+    cols`` tiled into banks x subarrays. ``half_select_exposure`` is a
+    flat-engine knob: a topology derives its own (non-zero only for
+    cross-point), so passing one with a non-flat topology raises.
     """
     from ..arrays.layout import ArrayLayout
     if not isinstance(device, MTJDevice):
@@ -1014,6 +943,10 @@ SAMPLERS` — use ``"binomial"`` for rare-event operating points);
     if (topology is not None and str(topology) != "flat") \
             or n_banks != 1 or n_subarrays != 1:
         from .topology import ArrayTopology, TopologyEngine
+        if half_select_exposure:
+            raise ParameterError(
+                "half_select_exposure applies to the flat engine only; "
+                "a topology derives its own (cross-point sneak term)")
         topo = ArrayTopology(
             kind="banked" if topology is None else topology,
             banks=n_banks, subarrays=n_subarrays, rows=rows,

@@ -33,8 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .bitplane import popcount_rows, unpack_bits
-from .controller import neighborhood_class_map
+from .backends import get_backend
+from .bitplane import unpack_bits
 
 #: Number of coupling classes: bit x n_direct x n_diagonal.
 N_CLASSES = 2 * 5 * 5
@@ -107,11 +107,11 @@ def sample_class_flips(class_idx, p_class, rng, hist=None,
     ``p_class`` is the flat ``(50,)`` per-class flip probability.
     ``hist`` is the precomputed class histogram when the caller
     maintains one (:class:`IncrementalClassMaps`); recomputed otherwise.
-    ``backend`` is an optional engine backend (see
-    :mod:`repro.memsys.backends`) whose ``group_class_members`` hook
-    may replace the stable-argsort grouping with a counting sort; both
-    yield ascending member order per class, so the seeded draws are
-    bit-identical either way.
+    ``backend`` is the engine backend (see :mod:`repro.memsys.backends`;
+    default the numpy reference) whose ``group_class_members`` hook
+    groups the cells by class. Every backend yields ascending member
+    order per class, so the seeded draws are bit-identical across
+    backends.
 
     One vectorized ``rng.binomial`` over the 50 classes, then one
     ``rng.choice`` per class that actually flipped — at rare-event
@@ -129,16 +129,10 @@ def sample_class_flips(class_idx, p_class, rng, hist=None,
         members_by_class = {int(hot[0]):
                             np.flatnonzero(flat == hot[0])}
     else:
-        # One stable grouping pass instead of a whole-array scan per
-        # hot class; stable sort keeps each group ascending, exactly
-        # like flatnonzero, so the draws are unchanged.
-        grouped = (backend.group_class_members(flat, hist)
-                   if backend is not None else None)
-        if grouped is not None:
-            order, bounds = grouped
-        else:
-            order = np.argsort(flat, kind="stable")
-            bounds = np.concatenate([[0], np.cumsum(hist)])
+        # One grouping pass instead of a whole-array scan per hot
+        # class.
+        backend = get_backend("numpy") if backend is None else backend
+        order, bounds = backend.group_class_members(flat, hist)
         members_by_class = {int(c): order[bounds[c]:bounds[c + 1]]
                             for c in hot}
     picks = []
@@ -161,26 +155,15 @@ class IncrementalClassMaps:
     the diff costs word-wide bit ops). When the touched fraction is
     small the neighbor counts are updated in place around the changed
     cells only — O(changed x 9); past :attr:`full_rebuild_fraction` of
-    the array a full vectorized
-    :func:`~repro.memsys.controller.neighborhood_class_map` recompute
-    is cheaper and the maps rebuild from scratch.
+    the array a whole-array recompute is cheaper and the maps rebuild
+    from scratch.
 
-    ``backend`` (see :mod:`repro.memsys.backends`) may take over the
-    diff popcount, the full rebuild, and the incremental update via its
-    kernel hooks; any hook returning ``None`` falls through to the
-    reference numpy path, and the maps are identical either way. A
-    backend may also retune :attr:`full_rebuild_fraction` through its
-    ``preferred_rebuild_fraction`` (an explicit
-    ``full_rebuild_fraction`` argument still wins).
+    The diff popcount, the full rebuild and the incremental update are
+    the ``backend``'s kernel hooks (see :mod:`repro.memsys.backends`;
+    default the numpy reference); the maps are identical for every
+    backend. :attr:`full_rebuild_fraction` defaults to the backend's
+    ``preferred_rebuild_fraction`` (an explicit argument wins).
     """
-
-    #: Touched-cell fraction above which a full rebuild wins over
-    #: scattered in-place updates (each changed cell touches itself
-    #: plus 8 neighbors via ``np.add.at``).
-    full_rebuild_fraction = 0.02
-
-    _DIRECT_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-    _DIAGONAL_OFFSETS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
     def __init__(self, rows, cols, plane, full_rebuild_fraction=None,
                  backend=None):
@@ -190,13 +173,10 @@ class IncrementalClassMaps:
             raise ParameterError(
                 f"plane has {plane.n_cells} cells, expected "
                 f"{rows} x {cols}")
-        self.backend = backend
-        if full_rebuild_fraction is not None:
-            self.full_rebuild_fraction = float(full_rebuild_fraction)
-        elif (backend is not None
-                and backend.preferred_rebuild_fraction is not None):
-            self.full_rebuild_fraction = float(
-                backend.preferred_rebuild_fraction)
+        self.backend = get_backend("numpy") if backend is None else backend
+        self.full_rebuild_fraction = float(
+            self.backend.preferred_rebuild_fraction
+            if full_rebuild_fraction is None else full_rebuild_fraction)
         self.rebuilds = 0
         self.incremental_refreshes = 0
         self._rebuild(plane)
@@ -210,15 +190,8 @@ class IncrementalClassMaps:
         XOR + popcount over the packed lanes).
         """
         snap = self._snapshot
-        per_word = None
-        if self.backend is not None:
-            # Fused XOR + popcount: no whole-plane XOR temp.
-            per_word = self.backend.xor_popcount_rows(snap.lanes,
-                                                      plane.lanes)
-        xor = None
-        if per_word is None:
-            xor = snap.lanes ^ plane.lanes
-            per_word = popcount_rows(xor)
+        per_word = self.backend.xor_popcount_rows(snap.lanes,
+                                                  plane.lanes)
         tail_changed = np.flatnonzero(snap.tail != plane.tail)
         n_changed = int(per_word.sum()) + tail_changed.size
         if n_changed == 0:
@@ -228,10 +201,9 @@ class IncrementalClassMaps:
             return
         changed_words = np.flatnonzero(per_word)
         if changed_words.size:
-            xor_changed = (xor[changed_words] if xor is not None
-                           else snap.lanes[changed_words]
-                           ^ plane.lanes[changed_words])
-            diff_bits = unpack_bits(xor_changed, plane.code_bits)
+            diff_bits = unpack_bits(snap.lanes[changed_words]
+                                    ^ plane.lanes[changed_words],
+                                    plane.code_bits)
             word_row, bit = np.nonzero(diff_bits)
             changed = changed_words[word_row] * plane.code_bits + bit
         else:
@@ -239,7 +211,8 @@ class IncrementalClassMaps:
         if tail_changed.size:
             changed = np.concatenate(
                 [changed, tail_changed + plane.n_mapped])
-        self._apply_changes(changed, plane)
+        self.backend.apply_class_changes(self, changed,
+                                         plane.get_cells(changed), plane)
         # Patch the snapshot in place — O(changed words), not a whole
         # plane copy per refresh.
         self._snapshot.lanes[changed_words] = plane.lanes[changed_words]
@@ -247,88 +220,11 @@ class IncrementalClassMaps:
         self.incremental_refreshes += 1
 
     def _rebuild(self, plane):
-        bits = plane.to_bits()
-        rebuilt = (self.backend.rebuild_class_maps(bits, self.rows,
-                                                   self.cols)
-                   if self.backend is not None else None)
-        if rebuilt is not None:
-            self.nd, self.ng, self.class_idx, self.hist = rebuilt
-        else:
-            nd2, ng2 = neighborhood_class_map(
-                bits.reshape(self.rows, self.cols))
-            self.nd = nd2.reshape(-1)
-            self.ng = ng2.reshape(-1)
-            self.class_idx = class_index(bits, self.nd, self.ng)
-            self.hist = np.bincount(self.class_idx,
-                                    minlength=N_CLASSES)
+        self.nd, self.ng, self.class_idx, self.hist = (
+            self.backend.rebuild_class_maps(plane.to_bits(), self.rows,
+                                            self.cols))
         self._snapshot = plane.copy()
         self.rebuilds += 1
-
-    def _apply_changes(self, changed, plane):
-        """Scattered update: every changed cell toggled exactly once."""
-        new_bits = plane.get_cells(changed)
-        if self.backend is not None and self.backend.apply_class_changes(
-                self, changed, new_bits, plane):
-            return
-        if changed.size <= 8:
-            # The per-batch common case at rare-event rates is one or
-            # two flipped cells; scalar neighbor updates beat a dozen
-            # numpy dispatches by an order of magnitude.
-            affected = self._update_counts_scalar(changed, new_bits)
-        else:
-            affected = self._update_counts_vector(changed, new_bits)
-        old_ci = self.class_idx[affected]
-        new_ci = class_index(plane.get_cells(affected),
-                             self.nd[affected], self.ng[affected])
-        self.class_idx[affected] = new_ci
-        np.subtract.at(self.hist, old_ci, 1)
-        np.add.at(self.hist, new_ci, 1)
-
-    def _update_counts_scalar(self, changed, new_bits):
-        rows, cols = self.rows, self.cols
-        nd, ng = self.nd, self.ng
-        affected = set()
-        for i in range(changed.size):
-            idx = int(changed[i])
-            delta = 2 * int(new_bits[i]) - 1  # 0->1: +1, 1->0: -1
-            r, c = divmod(idx, cols)
-            affected.add(idx)
-            for dr in (-1, 0, 1):
-                rr = r + dr
-                if not 0 <= rr < rows:
-                    continue
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    cc = c + dc
-                    if not 0 <= cc < cols:
-                        continue
-                    j = rr * cols + cc
-                    if dr == 0 or dc == 0:
-                        nd[j] += delta
-                    else:
-                        ng[j] += delta
-                    affected.add(j)
-        return np.fromiter(affected, dtype=np.intp,
-                           count=len(affected))
-
-    def _update_counts_vector(self, changed, new_bits):
-        delta = (new_bits.astype(np.int8) * 2 - 1)
-        r, c = np.divmod(changed, self.cols)
-        nd2 = self.nd.reshape(self.rows, self.cols)
-        ng2 = self.ng.reshape(self.rows, self.cols)
-        affected = [changed]
-        for grid, offsets in ((nd2, self._DIRECT_OFFSETS),
-                              (ng2, self._DIAGONAL_OFFSETS)):
-            for dr, dc in offsets:
-                rr, cc = r + dr, c + dc
-                ok = ((rr >= 0) & (rr < self.rows)
-                      & (cc >= 0) & (cc < self.cols))
-                if not np.any(ok):
-                    continue
-                np.add.at(grid, (rr[ok], cc[ok]), delta[ok])
-                affected.append(rr[ok] * self.cols + cc[ok])
-        return np.unique(np.concatenate(affected))
 
     # -- class lookups -------------------------------------------------------
 

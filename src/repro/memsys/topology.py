@@ -37,6 +37,7 @@ Two non-flat topology kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,7 +47,7 @@ from ..errors import ParameterError
 from ..resilience.checkpoint import CheckpointManager, RunCheckpointer
 from ..sweep.runner import SweepRunner, executor_for_jobs
 from ..sweep.spec import SweepSpec
-from ..validation import require_int_in_range, require_positive
+from ..validation import require_int_in_range
 from .backends import resolve_backend
 from .engine import build_engine, merge_results
 
@@ -349,8 +350,8 @@ class TopologyEngine:
     def transaction_shares(self, n_transactions):
         """Per-shard transaction counts: even split, remainder to the
         leading shards (some shares may be 0 for tiny runs)."""
-        require_positive(n_transactions, "n_transactions")
-        n = int(n_transactions)
+        n = require_int_in_range(n_transactions, "n_transactions", 1,
+                                 math.inf)
         shards = self.topology.n_shards
         base, rem = divmod(n, shards)
         return [base + (1 if i < rem else 0) for i in range(shards)]
@@ -377,8 +378,10 @@ class TopologyEngine:
         mid-stream — on any executor, since the directory travels as a
         plain path.
         """
-        require_positive(n_transactions, "n_transactions")
-        n = int(n_transactions)
+        n = require_int_in_range(n_transactions, "n_transactions", 1,
+                                 math.inf)
+        batch_size = require_int_in_range(batch_size, "batch_size", 1,
+                                          math.inf)
         gen = (rng if isinstance(rng, np.random.Generator)
                else np.random.default_rng(rng))
         topo = self.topology
@@ -420,7 +423,7 @@ class TopologyEngine:
         else:
             func = partial(_run_shard, self.device, topo.sub_rows,
                            topo.sub_cols, self._engine_kwargs,
-                           int(batch_size), bool(profile),
+                           batch_size, bool(profile),
                            manager.directory if manager is not None
                            else None, checkpoint_every, bool(resume))
             spec = SweepSpec.zipped(

@@ -27,7 +27,6 @@ from repro.memsys.backends import (
     validate_backend,
 )
 from repro.memsys.backends.numba_backend import NumbaEngineBackend
-from repro.memsys.backends.numpy_backend import NumpyEngineBackend
 from repro.memsys.bitplane import BitPlane, popcount_rows
 from repro.memsys.controller import neighborhood_class_map
 from repro.memsys.engine import build_engine
@@ -68,22 +67,6 @@ class TestRegistry:
         assert get_backend("numpy") is get_backend("numpy")
         assert get_backend("numba") is get_backend("numba")
 
-    def test_numpy_backend_is_identity(self):
-        backend = NumpyEngineBackend()
-        assert backend.ready()
-        assert backend.unavailable_reason() is None
-        assert backend.preferred_rebuild_fraction is None
-        plane = BitPlane.from_bits(np.zeros(16, np.int8), 2, 8)
-        assert backend.xor_popcount_rows(plane.lanes,
-                                         plane.lanes) is None
-        assert backend.rebuild_class_maps(np.zeros(16, np.int8),
-                                          4, 4) is None
-        assert backend.apply_class_changes(None, None, None,
-                                           None) is None
-        assert backend.group_class_members(None, None) is None
-        assert backend.toggle_and_count(None, None, None, None) is None
-        assert backend.inject_and_count(None, None, None) is None
-
     def test_default_is_numpy(self, monkeypatch):
         monkeypatch.delenv(ENGINE_BACKEND_ENV, raising=False)
         assert resolve_backend().name == "numpy"
@@ -116,7 +99,8 @@ class TestRegistry:
             warnings.simplefilter("error")
             assert resolve_backend().name == "numpy"
 
-    def test_numba_fallback_warns_once(self, fresh_warnings):
+    def test_numba_fallback_warns_once(self, fresh_warnings,
+                                       eval_device):
         if numba_available():
             pytest.skip("numba installed: no fallback on this machine")
         with pytest.warns(RuntimeWarning, match="falling back"):
@@ -124,6 +108,20 @@ class TestRegistry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_backend("numba").name == "numpy"
+            # An engine asking for numba degrades the same way and
+            # still completes a run.
+            engine = build_engine(eval_device, pitch=70e-9, rows=16,
+                                  cols=16, backend="numba")
+            assert engine.backend.name == "numpy"
+            assert engine.run(2000, rng=1).n_transactions == 2000
+
+    def test_numba_request_engages_when_installed(self, eval_device):
+        if not numba_available():
+            pytest.skip("numba not installed")
+        engine = build_engine(eval_device, pitch=70e-9, rows=16,
+                              cols=16, sampler="binomial",
+                              backend="numba")
+        assert engine.backend.name == "numba"
 
     def test_engine_resolves_env_backend(self, monkeypatch,
                                          fresh_warnings, eval_device):
@@ -228,6 +226,65 @@ class TestKernelProperties:
         assert np.array_equal(bounds,
                               np.concatenate([[0], np.cumsum(hist)]))
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10),
+           st.integers(2, 10), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_numpy_and_numba_hooks_agree(self, seed, rows, cols,
+                                         n_toggle):
+        """Both backends implement every hook: same inputs, same
+        results, same in-place effects."""
+        rng = np.random.default_rng(seed)
+        numpy_be, numba_be = get_backend("numpy"), NumbaEngineBackend()
+        assert numpy_be.ready() and numpy_be.unavailable_reason() is None
+        assert numpy_be.preferred_rebuild_fraction == 0.02
+
+        def same(a, b):
+            assert type(a) is type(b)
+            if isinstance(a, tuple):
+                assert len(a) == len(b)
+                for x, y in zip(a, b):
+                    same(x, y)
+            else:
+                assert np.array_equal(a, b)
+
+        a = rng.integers(0, 2**63, size=(rows, 2)).astype("<u8")
+        b = a ^ rng.integers(0, 2**63, size=a.shape).astype("<u8")
+        same(numpy_be.xor_popcount_rows(a, b),
+             numba_be.xor_popcount_rows(a, b))
+
+        n_cells = rows * cols
+        bits = rng.integers(0, 2, size=n_cells).astype(np.int8)
+        rebuilt = numpy_be.rebuild_class_maps(bits, rows, cols)
+        same(rebuilt, numba_be.rebuild_class_maps(bits, rows, cols))
+        same(numpy_be.group_class_members(rebuilt[2], rebuilt[3]),
+             numba_be.group_class_members(rebuilt[2], rebuilt[3]))
+
+        plane = BitPlane.from_bits(bits, n_cells // 4, 4)
+        maps = [IncrementalClassMaps(rows, cols, plane, backend=be)
+                for be in (numpy_be, numba_be)]
+        changed = np.sort(rng.choice(n_cells, size=min(n_toggle,
+                                                       n_cells),
+                                     replace=False))
+        plane.toggle_cells(changed)
+        new_bits = plane.get_cells(changed)
+        touched = [be.apply_class_changes(m, changed, new_bits, plane)
+                   for be, m in zip((numpy_be, numba_be), maps)]
+        assert touched[0] == touched[1] > 0
+        for name in ("nd", "ng", "class_idx", "hist"):
+            same(getattr(maps[0], name), getattr(maps[1], name))
+
+        intended = plane.copy()
+        runs = []
+        for be in (numpy_be, numba_be):
+            actual = intended.copy()
+            err = np.zeros(intended.n_words, dtype=np.int16)
+            delta = be.toggle_and_count(intended, actual, changed, err)
+            clean = np.flatnonzero(err == 0)[:3] * 4
+            injected = be.inject_and_count(actual, clean, err)
+            runs.append((delta, injected, err, actual.lanes,
+                         actual.tail))
+        same(runs[0], runs[1])
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_toggle_and_inject_match_reference_state(self, seed):
@@ -245,7 +302,7 @@ class TestKernelProperties:
                 return np.full(N_CLASSES, 1e-4)
 
         states = []
-        for backend in (None, NumbaEngineBackend()):
+        for backend in (get_backend("numpy"), NumbaEngineBackend()):
             intended = BitPlane.from_bits(bits, n_words, code_bits)
             states.append(_PackedState(intended, intended.copy(),
                                        None, _Tables(),
@@ -286,7 +343,8 @@ class TestKernelProperties:
                                  size=500).astype(np.int8)
         p_class = np.full(N_CLASSES, 0.05)
         ref = sample_class_flips(class_idx, p_class,
-                                 np.random.default_rng(seed + 1))
+                                 np.random.default_rng(seed + 1),
+                                 backend=get_backend("numpy"))
         got = sample_class_flips(class_idx, p_class,
                                  np.random.default_rng(seed + 1),
                                  backend=numba_py)
@@ -312,10 +370,11 @@ class TestBackendTuning:
 
     def test_numpy_backend_keeps_default_threshold(self):
         plane = BitPlane.from_bits(np.zeros(64, np.int8), 8, 8)
+        default = IncrementalClassMaps(8, 8, plane)
         maps = IncrementalClassMaps(8, 8, plane,
                                     backend=get_backend("numpy"))
         assert (maps.full_rebuild_fraction
-                == IncrementalClassMaps.full_rebuild_fraction)
+                == default.full_rebuild_fraction == 0.02)
 
 
 class TestEngineParity:

@@ -108,41 +108,35 @@ class TestTables:
         assert np.all(np.diff(table, axis=1) < 0)
 
     def test_probability_lookups_vectorized(self, controller):
+        from repro.memsys.sampling import class_index
         bits = np.array([[0, 1], [1, 0]])
         nd = np.array([[0, 1], [2, 3]])
         ng = np.array([[4, 3], [2, 1]])
-        p = controller.write_error_probability(bits, nd, ng)
+        p = controller.wer_class_probability()[class_index(bits, nd, ng)]
         assert p.shape == (2, 2)
         assert p[0, 0] == controller.wer_table[0, 0, 4]
         assert p[1, 1] == controller.wer_table[0, 3, 1]
 
     def test_retention_probability_scales_with_interval(self,
                                                         controller):
-        bits = np.zeros((2, 2), dtype=np.int8)
-        nd = np.full((2, 2), 2)
-        ng = np.full((2, 2), 2)
-        p_short = controller.retention_flip_probability(
-            bits, nd, ng, 1.0)
-        p_long = controller.retention_flip_probability(
-            bits, nd, ng, 1e6)
+        p_short = controller.retention_class_probability(1.0)
+        p_long = controller.retention_class_probability(1e6)
         assert np.all(p_long >= p_short)
 
     def test_retention_zero_interval_allowed(self, controller):
         """A zero-dwell window (scrub immediately before the access)
         is valid and yields flip probability exactly 0."""
-        bits = np.zeros((2, 2), dtype=np.int8)
-        nd = np.full((2, 2), 2)
-        ng = np.full((2, 2), 2)
-        p = controller.retention_flip_probability(bits, nd, ng, 0.0)
+        from repro.memsys.sampling import class_index
+        ci = class_index(np.zeros((2, 2), dtype=np.int8),
+                         np.full((2, 2), 2), np.full((2, 2), 2))
+        p = controller.retention_class_probability(0.0)[ci]
         assert np.all(p == 0.0)
         assert np.all(controller.retention_class_probability(0.0)
                       == 0.0)
 
     def test_retention_negative_interval_rejected(self, controller):
-        bits = np.zeros((2, 2), dtype=np.int8)
-        nd = ng = np.full((2, 2), 2)
         with pytest.raises(ParameterError):
-            controller.retention_flip_probability(bits, nd, ng, -1.0)
+            controller.retention_class_probability(-1.0)
         with pytest.raises(ParameterError):
             controller.retention_class_probability(-1e-9)
 
@@ -161,7 +155,8 @@ class TestTables:
             controller.disturb_table[bits, nd, ng])
         assert np.allclose(
             controller.retention_class_probability(0.5)[ci],
-            controller.retention_flip_probability(bits, nd, ng, 0.5))
+            -np.expm1(-controller.retention_rate_table[bits, nd, ng]
+                      * 0.5))
 
     def test_describe(self, controller):
         info = controller.describe()

@@ -92,6 +92,22 @@ class TestRun:
         with pytest.raises(ParameterError):
             build_engine(device, pitch=70e-9, workload=object())
 
+    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
+    @pytest.mark.parametrize("bad", [0.5, 2.0, 0, -3])
+    def test_counts_must_be_positive_integers(self, device, sampler,
+                                              bad):
+        """Fractional counts used to run: ``run(0.5)`` returned an
+        empty result and ``batch_size=0.5`` failed deep inside the
+        workload."""
+        engine = build_engine(device, pitch=70e-9, rows=16, cols=16,
+                              sampler=sampler)
+        with pytest.raises(ParameterError, match="n_transactions"):
+            engine.run(bad, rng=1)
+        with pytest.raises(ParameterError, match="batch_size"):
+            engine.run(100, rng=1, batch_size=bad)
+        assert engine.run(np.int64(100), rng=1,
+                          batch_size=np.int32(30)).n_transactions == 100
+
 
 class TestRetentionAndScrub:
     def test_retention_flips_at_hot_slow_corner(self, device):
@@ -224,3 +240,266 @@ class TestPhaseProfile:
         assert profiler.seconds["scrub"] >= 0.02
         # The inner phase's time is not double-counted in the outer.
         assert profiler.seconds["scrub"] < 0.035
+
+
+# -- pinned seeded counters ---------------------------------------------------
+#
+# Parity tests compare two paths of the same checkout, so a change that
+# shifts both paths alike would pass them. These goldens pin absolute
+# seeded counters instead. Every backend must reproduce the same golden
+# (the kernels are draw-order preserving), which is why the key has no
+# backend axis. The numba backend runs its kernels in python mode when
+# numba is absent: a flat engine takes the instance directly, and a
+# sharded engine's template is handed it, because shards otherwise
+# resolve the backend from its registry name (which degrades to numpy).
+
+PINNED_COUNTERS = (
+    "n_transactions", "n_reads", "n_writes", "n_scrubs", "bits_read",
+    "bits_written", "write_errors", "disturb_flips", "retention_flips",
+    "sneak_flips", "raw_bit_errors", "uncorrectable_bit_errors",
+    "words_ok", "words_corrected", "words_detected", "words_silent",
+    "scrub_corrected_words", "scrub_uncorrectable_words")
+
+PINNED_TOPOLOGIES = ("flat", "banked", "cross-point")
+
+#: 24x24 at a hot, slow, read-heavy corner so that every mechanism and
+#: both scrub counters book events; cross-point reads harder so that
+#: half-select sneak flips appear.
+PINNED_POINT = dict(pitch=52.5e-9, rows=24, cols=24,
+                    workload="read-heavy", temperature=420.0,
+                    cycle_time=3e-3, nominal_wer=2e-3)
+PINNED_READ_VOLTAGE = {"flat": 0.2, "banked": 0.2, "cross-point": 0.32}
+
+
+def _pinned_backend(name):
+    from repro.memsys.backends import get_backend
+    from repro.memsys.backends.numba_backend import NumbaEngineBackend
+    return get_backend("numpy") if name == "numpy" else NumbaEngineBackend()
+
+
+def _pinned_engine(device, topology, backend, sampler="bernoulli",
+                   scrub=False, writeback=True, ecc="secded"):
+    kwargs = dict(PINNED_POINT, sampler=sampler, ecc=ecc,
+                  writeback=writeback,
+                  read_voltage=PINNED_READ_VOLTAGE[topology],
+                  scrub=ScrubPolicy(0.2) if scrub else None)
+    backend = _pinned_backend(backend)
+    if topology == "flat":
+        return build_engine(device, backend=backend, **kwargs)
+    engine = build_engine(device, topology=topology, banks=2,
+                          subarrays=2, **kwargs)
+    engine.template.backend = backend
+    return engine
+
+
+def _pinned_run(engine):
+    kwargs = dict(rng=3, batch_size=250)
+    if hasattr(engine, "topology"):
+        kwargs["executor"] = "serial"
+    result = engine.run(1000, **kwargs)
+    return tuple(getattr(result, name) for name in PINNED_COUNTERS)
+
+
+#: ``(topology, sampler, scrub, writeback, ecc) -> PINNED_COUNTERS``.
+PINNED_RUNS = {
+    ('flat', 'bernoulli', False, False, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 15, 259, 40, 0, 2389, 2389, 237, 0, 0,
+         659, 0, 0),
+    ('flat', 'bernoulli', False, False, 'secded'):
+        (1000, 891, 109, 0, 64152, 7848, 17, 256, 44, 0, 2399, 2238, 246, 161,
+         152, 332, 0, 0),
+    ('flat', 'bernoulli', False, True, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 15, 259, 40, 0, 2389, 2389, 237, 0, 0,
+         659, 0, 0),
+    ('flat', 'bernoulli', False, True, 'secded'):
+        (1000, 902, 98, 0, 64944, 15696, 40, 254, 46, 0, 1422, 1302, 457, 120,
+         87, 238, 0, 0),
+    ('flat', 'bernoulli', True, False, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 15, 259, 40, 0, 2389, 2389, 237, 0, 0,
+         659, 0, 30),
+    ('flat', 'bernoulli', True, False, 'secded'):
+        (1000, 896, 104, 4, 64512, 7704, 12, 286, 57, 0, 2753, 2615, 227, 138,
+         93, 438, 3, 24),
+    ('flat', 'bernoulli', True, True, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 15, 259, 40, 0, 2389, 2389, 237, 0, 0,
+         659, 0, 30),
+    ('flat', 'bernoulli', True, True, 'secded'):
+        (1000, 911, 89, 4, 65592, 15768, 42, 266, 54, 0, 2280, 2155, 383, 125,
+         83, 320, 5, 22),
+    ('flat', 'binomial', False, False, 'none'):
+        (1000, 892, 108, 0, 57088, 6912, 16, 211, 57, 0, 2212, 2212, 221, 0, 0,
+         671, 0, 0),
+    ('flat', 'binomial', False, False, 'secded'):
+        (1000, 895, 105, 0, 64440, 7560, 16, 266, 65, 0, 2777, 2608, 173, 169,
+         159, 394, 0, 0),
+    ('flat', 'binomial', False, True, 'none'):
+        (1000, 892, 108, 0, 57088, 6912, 16, 211, 57, 0, 2212, 2212, 221, 0, 0,
+         671, 0, 0),
+    ('flat', 'binomial', False, True, 'secded'):
+        (1000, 888, 112, 0, 63936, 16704, 31, 265, 56, 0, 2148, 2028, 387, 120,
+         90, 291, 0, 0),
+    ('flat', 'binomial', True, False, 'none'):
+        (1000, 892, 108, 4, 57088, 6912, 16, 211, 57, 0, 2212, 2212, 221, 0, 0,
+         671, 0, 36),
+    ('flat', 'binomial', True, False, 'secded'):
+        (1000, 893, 107, 4, 64296, 7848, 19, 274, 63, 0, 2703, 2533, 191, 170,
+         119, 413, 2, 29),
+    ('flat', 'binomial', True, True, 'none'):
+        (1000, 892, 108, 4, 57088, 6912, 16, 211, 57, 0, 2212, 2212, 221, 0, 0,
+         671, 0, 36),
+    ('flat', 'binomial', True, True, 'secded'):
+        (1000, 888, 112, 4, 63936, 16920, 30, 289, 56, 0, 2252, 2134, 369, 118,
+         111, 290, 5, 23),
+    ('banked', 'bernoulli', False, False, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 14, 251, 25, 0, 2383, 2383, 225, 0, 0,
+         671, 0, 0),
+    ('banked', 'bernoulli', False, False, 'secded'):
+        (1000, 896, 104, 0, 64512, 7488, 15, 294, 25, 0, 2834, 2634, 169, 200,
+         86, 441, 0, 0),
+    ('banked', 'bernoulli', False, True, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 14, 251, 25, 0, 2383, 2383, 225, 0, 0,
+         671, 0, 0),
+    ('banked', 'bernoulli', False, True, 'secded'):
+        (1000, 896, 104, 0, 64512, 18432, 33, 295, 25, 0, 1724, 1572, 425, 152,
+         75, 244, 0, 0),
+    ('banked', 'bernoulli', True, False, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 14, 251, 25, 0, 2383, 2383, 225, 0, 0,
+         671, 0, 8),
+    ('banked', 'bernoulli', True, False, 'secded'):
+        (1000, 896, 104, 4, 64512, 7632, 15, 286, 25, 0, 2538, 2317, 217, 221,
+         92, 366, 2, 6),
+    ('banked', 'bernoulli', True, True, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 14, 251, 25, 0, 2383, 2383, 225, 0, 0,
+         671, 0, 8),
+    ('banked', 'bernoulli', True, True, 'secded'):
+        (1000, 896, 104, 4, 64512, 19440, 35, 292, 25, 0, 1352, 1188, 465, 164,
+         69, 198, 2, 6),
+    ('banked', 'binomial', False, False, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 13, 269, 18, 0, 2680, 2680, 225, 0, 0,
+         671, 0, 0),
+    ('banked', 'binomial', False, False, 'secded'):
+        (1000, 896, 104, 0, 64512, 7488, 16, 311, 18, 0, 2667, 2485, 179, 182,
+         110, 425, 0, 0),
+    ('banked', 'binomial', False, True, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 13, 269, 18, 0, 2680, 2680, 225, 0, 0,
+         671, 0, 0),
+    ('banked', 'binomial', False, True, 'secded'):
+        (1000, 896, 104, 0, 64512, 16992, 31, 316, 18, 0, 2054, 1922, 382, 132,
+         85, 297, 0, 0),
+    ('banked', 'binomial', True, False, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 13, 269, 18, 0, 2680, 2680, 225, 0, 0,
+         671, 0, 8),
+    ('banked', 'binomial', True, False, 'secded'):
+        (1000, 896, 104, 4, 64512, 7632, 14, 328, 18, 0, 2670, 2497, 194, 173,
+         103, 426, 2, 6),
+    ('banked', 'binomial', True, True, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 13, 269, 18, 0, 2680, 2680, 225, 0, 0,
+         671, 0, 8),
+    ('banked', 'binomial', True, True, 'secded'):
+        (1000, 896, 104, 4, 64512, 16992, 31, 316, 18, 0, 2052, 1922, 384, 130,
+         85, 297, 2, 6),
+    ('cross-point', 'bernoulli', False, False, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 13, 3273, 25, 2, 25601, 25601, 85, 0,
+         0, 811, 0, 0),
+    ('cross-point', 'bernoulli', False, False, 'secded'):
+        (1000, 896, 104, 0, 64512, 7488, 15, 3731, 25, 2, 27844, 27833, 84, 11,
+         4, 797, 0, 0),
+    ('cross-point', 'bernoulli', False, True, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 13, 3273, 25, 2, 25601, 25601, 85, 0,
+         0, 811, 0, 0),
+    ('cross-point', 'bernoulli', False, True, 'secded'):
+        (1000, 896, 104, 0, 64512, 8424, 16, 3697, 25, 2, 27552, 27539, 84, 13,
+         2, 797, 0, 0),
+    ('cross-point', 'bernoulli', True, False, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 13, 3273, 25, 2, 25601, 25601, 85, 0,
+         0, 811, 0, 8),
+    ('cross-point', 'bernoulli', True, False, 'secded'):
+        (1000, 896, 104, 4, 64512, 7560, 12, 3761, 25, 2, 28410, 28401, 87, 9,
+         3, 797, 1, 7),
+    ('cross-point', 'bernoulli', True, True, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 13, 3273, 25, 2, 25601, 25601, 85, 0,
+         0, 811, 0, 8),
+    ('cross-point', 'bernoulli', True, True, 'secded'):
+        (1000, 896, 104, 4, 64512, 8424, 16, 3697, 25, 2, 27551, 27539, 85, 12,
+         2, 797, 1, 7),
+    ('cross-point', 'binomial', False, False, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 9, 3323, 18, 1, 25714, 25714, 89, 0,
+         0, 807, 0, 0),
+    ('cross-point', 'binomial', False, False, 'secded'):
+        (1000, 896, 104, 0, 64512, 7488, 13, 3766, 18, 1, 29461, 29448, 84, 13,
+         3, 796, 0, 0),
+    ('cross-point', 'binomial', False, True, 'none'):
+        (1000, 896, 104, 0, 57344, 6656, 9, 3323, 18, 1, 25714, 25714, 89, 0,
+         0, 807, 0, 0),
+    ('cross-point', 'binomial', False, True, 'secded'):
+        (1000, 896, 104, 0, 64512, 8640, 16, 3787, 18, 1, 29426, 29410, 82, 16,
+         2, 796, 0, 0),
+    ('cross-point', 'binomial', True, False, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 9, 3323, 18, 1, 25714, 25714, 89, 0,
+         0, 807, 0, 8),
+    ('cross-point', 'binomial', True, False, 'secded'):
+        (1000, 896, 104, 4, 64512, 7632, 16, 3758, 18, 1, 29507, 29492, 83, 15,
+         2, 796, 2, 6),
+    ('cross-point', 'binomial', True, True, 'none'):
+        (1000, 896, 104, 4, 57344, 6656, 9, 3323, 18, 1, 25714, 25714, 89, 0,
+         0, 807, 0, 8),
+    ('cross-point', 'binomial', True, True, 'secded'):
+        (1000, 896, 104, 4, 64512, 8640, 16, 3789, 18, 1, 29456, 29442, 84, 14,
+         2, 796, 2, 6),
+}
+
+#: ``(topology, ecc) -> (raw_ber, word_fail_rate, uber)``.
+PINNED_RATES = {
+    ('flat', 'none'): (
+        0.006784236708343552,
+        0.35324182652509883,
+        0.006784236708343552,
+    ),
+    ('flat', 'secded'): (
+        0.006784236708343552,
+        0.08615784967654765,
+        0.0025984123775547475,
+    ),
+    ('banked', 'none'): (
+        0.007361992851482891,
+        0.37588635752626837,
+        0.007361992851482891,
+    ),
+    ('banked', 'secded'): (
+        0.00757502938033447,
+        0.10420750166556088,
+        0.003181763716742254,
+    ),
+    ('cross-point', 'none'): (
+        0.5302295147654006,
+        1.0,
+        0.5302295147654006,
+    ),
+    ('cross-point', 'secded'): (
+        0.5356405877490535,
+        1.0,
+        0.5356405877490535,
+    ),
+}
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("key", sorted(PINNED_RUNS), ids=str)
+    def test_run_counters(self, device, key, backend):
+        topology, sampler, scrub, writeback, ecc = key
+        engine = _pinned_engine(device, topology, backend,
+                                sampler=sampler, scrub=scrub,
+                                writeback=writeback, ecc=ecc)
+        assert _pinned_run(engine) == PINNED_RUNS[key]
+
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
+    @pytest.mark.parametrize("key", sorted(PINNED_RATES), ids=str)
+    def test_expected_rates(self, device, key, sampler, backend):
+        topology, ecc = key
+        engine = _pinned_engine(device, topology, backend,
+                                sampler=sampler, ecc=ecc)
+        rates = engine.expected_rates(rng=3)
+        got = (rates["raw_ber"], rates["word_fail_rate"], rates["uber"])
+        assert got == pytest.approx(PINNED_RATES[key], rel=1e-12)

@@ -273,6 +273,17 @@ class TestShardedRuns:
         assert result.extras["topology"][
             "per_shard_transactions"] == [1, 1, 1]
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, 0, -3])
+    def test_counts_must_be_positive_integers(self, device, bad):
+        engine = build_engine(device, pitch=70e-9, rows=32, cols=32,
+                              topology="banked", banks=2, subarrays=2)
+        with pytest.raises(ParameterError, match="n_transactions"):
+            engine.run(bad, rng=1)
+        with pytest.raises(ParameterError, match="n_transactions"):
+            engine.transaction_shares(bad)
+        with pytest.raises(ParameterError, match="batch_size"):
+            engine.run(100, rng=1, batch_size=bad)
+
     def test_progress_covers_the_run(self, device):
         engine = build_engine(device, pitch=70e-9, rows=32, cols=32,
                               topology="banked", banks=2, subarrays=2)
@@ -337,6 +348,22 @@ class TestCrossPoint:
         banked = build_engine(device, topology="banked", **kwargs)
         assert cross.expected_rates(rng=0)["raw_ber"] > \
             banked.expected_rates(rng=0)["raw_ber"]
+
+    @pytest.mark.parametrize("topology", ["banked", "cross-point"])
+    def test_explicit_exposure_rejected_off_flat(self, device,
+                                                 topology):
+        """A topology derives its own exposure; one passed alongside
+        it used to be dropped silently."""
+        with pytest.raises(ParameterError, match="half_select_exposure"):
+            build_engine(device, pitch=70e-9, rows=32, cols=32,
+                         topology=topology, banks=2,
+                         read_voltage=0.3, half_select_exposure=0.5)
+
+    def test_flat_engine_takes_explicit_exposure(self, device):
+        engine = build_engine(device, pitch=70e-9, rows=32, cols=32,
+                              read_voltage=0.3, half_select_exposure=0.5)
+        assert engine.half_select_exposure == 0.5
+        assert engine.run(4000, rng=1).sneak_flips > 0
 
     def test_exposure_scales_inversely_with_shard_size(self):
         small = TopologyEngine.half_select_exposure(
