@@ -40,7 +40,7 @@ Sweep-shaped subcommands (``reproduce``, ``design``, ``memsys``) accept
 ``--jobs N`` to fan the underlying :mod:`repro.sweep` grid out over N
 workers; results are identical to the serial run. ``--executor`` picks
 the worker flavor explicitly (``thread`` parallelizes inside one
-process and shares its kernel store; ``process``/``chunked`` fork;
+process and shares its kernel store; ``process`` forks;
 ``distributed`` ships chunks over a spool-directory job queue that
 ``repro worker`` processes — started on any host sharing the
 ``REPRO_SWEEP_SPOOL`` directory — serve, warm-started from a shared
@@ -431,7 +431,7 @@ def _cmd_audit(args):
     from .integrity import (AuditReport, audit_cache_dir,
                             audit_checkpoint_dir, audit_spool_run,
                             cross_backend_canary)
-    from .sweep.distributed import SWEEP_SPOOL_ENV, _RUN_PREFIX
+    from .sweep.distributed import SWEEP_SPOOL_ENV, SpoolRun
 
     reports = []
     run_dirs = list(args.run or ())
@@ -441,14 +441,11 @@ def _cmd_audit(args):
                            else None)
     if spool:
         try:
-            run_dirs.extend(
-                os.path.join(spool, name)
-                for name in sorted(os.listdir(spool))
-                if name.startswith(_RUN_PREFIX)
-                and os.path.isdir(os.path.join(spool, name)))
+            os.listdir(spool)
         except OSError as exc:
             print(f"spool {spool!r} unreadable: {exc}")
             return 2
+        run_dirs.extend(run.path for run in SpoolRun.runs(spool))
     for run_dir in run_dirs:
         reports.append(audit_spool_run(run_dir, sample=args.sample,
                                        seed=args.seed))

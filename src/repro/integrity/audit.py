@@ -22,10 +22,9 @@ against a miscompiled kernel poisoning a campaign.
 Every check lands in an :class:`AuditReport`; a single flipped byte
 anywhere fails the report.
 
-Cross-package imports (engine, checkpoint, spool protocol) happen
-lazily inside functions: those modules import this package, and this
-package's ``__init__`` imports this module, so eager imports here
-would cycle.
+Cross-package imports (engine, checkpoint) happen lazily inside
+functions: those modules import this package, and this package's
+``__init__`` imports this module, so eager imports here would cycle.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from ..store import (
     pickle_digest,
     unpack_record,
 )
+from ..sweep.distributed import SpoolRun
 from .manifest import MANIFEST_NAME, RunManifest
 
 __all__ = [
@@ -109,10 +109,6 @@ class AuditReport:
 # spool runs
 # ---------------------------------------------------------------------------
 
-def _chunk_result_path(run_path, name):
-    return os.path.join(run_path, "results", f"{name}.pkl")
-
-
 def audit_spool_run(run_path, sample=4, seed=0):
     """Verify a preserved spool run against its manifest.
 
@@ -123,8 +119,7 @@ def audit_spool_run(run_path, sample=4, seed=0):
     re-evaluated through the run's task function must reproduce the
     recorded digest exactly.
     """
-    from ..sweep.distributed import REPLAY_DIR
-
+    run = SpoolRun(run_path)
     report = AuditReport(run_path)
     manifest_path = os.path.join(run_path, MANIFEST_NAME)
     try:
@@ -143,9 +138,13 @@ def audit_spool_run(run_path, sample=4, seed=0):
             report.add(f"{name}/digest", "skipped",
                        "quarantined chunk (no reproducible values)")
             continue
-        path = _chunk_result_path(run_path, name)
+        chunk = run.parse_chunk(name)
+        if chunk is None:
+            report.add(f"{name}/digest", "fail",
+                       "manifest entry is not a chunk name")
+            continue
         try:
-            with open(path, "rb") as fh:
+            with open(run.result_path(chunk), "rb") as fh:
                 payload = unpack_record(fh.read())
         except FileNotFoundError:
             report.add(f"{name}/digest", "fail",
@@ -162,18 +161,15 @@ def audit_spool_run(run_path, sample=4, seed=0):
                        f"{str(entry.get('values_sha256'))[:16]}…")
             continue
         report.add(f"{name}/digest", "pass", "")
-        verifiable.append(name)
+        verifiable.append((name, chunk))
 
     # Unmanifested strays are as suspicious as missing files.
-    try:
-        on_disk = {name[:-len(".pkl")] for name in
-                   os.listdir(os.path.join(run_path, "results"))
-                   if name.endswith(".pkl") and not name.startswith(".")}
-    except OSError:
-        on_disk = set()
-    for name in sorted(on_disk - set(manifest.entries)):
-        report.add(f"{name}/digest", "fail",
-                   "result file not in the manifest")
+    for chunk, path in run.results():
+        name = (os.path.basename(path) if chunk is None
+                else run.chunk_name(chunk))
+        if name not in manifest.entries:
+            report.add(f"{name}/digest", "fail",
+                       "result file not in the manifest")
 
     if not verifiable:
         report.add("replay", "skipped", "no verifiable chunks")
@@ -182,24 +178,21 @@ def audit_spool_run(run_path, sample=4, seed=0):
     count = min(int(sample), len(verifiable))
     picks = sorted(rng.choice(len(verifiable), size=count,
                               replace=False).tolist())
-    task_path = os.path.join(run_path, "task.pkl")
     try:
-        with open(task_path, "rb") as fh:
+        with open(run.task_path, "rb") as fh:
             task_blob = fh.read()
         func = pickle.loads(task_blob)
     except (OSError, Exception) as exc:
-        report.add("replay", "fail", f"task.pkl unusable: {exc!r}")
+        report.add("replay", "fail", f"task function unusable: {exc!r}")
         return report
     expected_task = manifest.identity.get("task_sha256")
     if expected_task and blob_digest(task_blob) != expected_task:
-        report.add("replay", "fail", "task.pkl digest mismatch")
+        report.add("replay", "fail", "task function digest mismatch")
         return report
     for index in picks:
-        name = verifiable[index]
-        replay_path = os.path.join(run_path, REPLAY_DIR,
-                                   f"{name}.pkl")
+        name, chunk = verifiable[index]
         try:
-            with open(replay_path, "rb") as fh:
+            with open(run.replay_path(chunk), "rb") as fh:
                 points = pickle.load(fh)
         except (OSError, Exception) as exc:
             report.add(f"{name}/replay", "fail",

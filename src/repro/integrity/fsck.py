@@ -14,10 +14,6 @@ and obscures what actually happened.
 conservative, always deletion-of-provably-redundant-state) fix.
 :func:`list_quarantine` renders the poison ledger without ever
 unpickling anything — legacy pickle records are listed by size only.
-
-Spool-protocol constants import lazily inside functions: the sweep
-module imports this package's manifest layer, so eager imports here
-would cycle.
 """
 
 from __future__ import annotations
@@ -27,6 +23,7 @@ import os
 
 from ..errors import IntegrityError
 from ..store import unpack_record
+from ..sweep.distributed import SpoolRun
 
 __all__ = ["Finding", "fsck_spool", "list_quarantine"]
 
@@ -61,77 +58,44 @@ def _try_unlink(path, repair):
         return False
 
 
-def _listdir(path):
-    try:
-        return sorted(os.listdir(path))
-    except OSError:
-        return []
-
-
-def _verified_chunks(results_dir):
+def _verified_chunks(run):
     """Chunk ordinals whose committed result passes frame
-    verification, plus the torn file names that do not."""
+    verification, plus the ``(path, why)`` of torn result files."""
     good, torn = set(), []
-    for name in _listdir(results_dir):
-        if name.startswith(".") or not name.endswith(".pkl"):
+    for chunk, path in run.results():
+        if chunk is None:
+            torn.append((path, "unparseable chunk name"))
             continue
-        path = os.path.join(results_dir, name)
         try:
             with open(path, "rb") as fh:
                 unpack_record(fh.read())
         except OSError:
             continue
         except IntegrityError as exc:
-            torn.append((name, str(exc)))
+            torn.append((path, str(exc)))
             continue
-        try:
-            good.add(int(name[len("chunk-"):-len(".pkl")]))
-        except ValueError:
-            torn.append((name, "unparseable chunk name"))
+        good.add(chunk)
     return good, torn
 
 
-def _scan_run(run_path, repair, findings):
+def _scan_run(run, repair, findings):
     """Findings for one ``run-*`` directory; returns its verified
     chunk set for the quarantine cross-check."""
-    from ..sweep.distributed import _CLAIM_SEP, _JOB_SUFFIX
-
-    results_dir = os.path.join(run_path, "results")
-    queue_dir = os.path.join(run_path, "queue")
-    claimed_dir = os.path.join(run_path, "claimed")
-    done = os.path.exists(os.path.join(run_path, "DONE"))
-
-    good, torn = _verified_chunks(results_dir)
-    for name, why in torn:
-        path = os.path.join(results_dir, name)
+    good, torn = _verified_chunks(run)
+    for path, why in torn:
         repaired = _try_unlink(path, repair)
         findings.append(Finding(
             "torn-result", path,
             f"{why}; removing re-arms the retry path", repaired))
 
     # Temp files orphaned mid-rename by a crash inside atomic_write.
-    for sub in ("", "queue", "claimed", "results"):
-        directory = os.path.join(run_path, sub) if sub else run_path
-        for name in _listdir(directory):
-            if not name.startswith(".tmp-"):
-                continue
-            path = os.path.join(directory, name)
-            repaired = _try_unlink(path, repair)
-            findings.append(Finding(
-                "stray-temp", path,
-                "orphaned atomic-write temp file", repaired))
+    for path in run.temp_files():
+        _stray_temp(path, repair, findings)
 
     # A queued job whose chunk already has a verified commit would be
     # executed (and committed) a second time for nothing.
-    for name in _listdir(queue_dir):
-        if name.startswith(".") or not name.endswith(_JOB_SUFFIX):
-            continue
-        try:
-            chunk = int(name[len("chunk-"):-len(_JOB_SUFFIX)])
-        except ValueError:
-            continue
+    for chunk, path in run.queued():
         if chunk in good:
-            path = os.path.join(queue_dir, name)
             repaired = _try_unlink(path, repair)
             findings.append(Finding(
                 "duplicate-commit", path,
@@ -140,22 +104,21 @@ def _scan_run(run_path, repair, findings):
 
     # A claim is orphaned when its work is provably over: the chunk
     # has a verified commit, or the whole run is marked DONE.
-    for name in _listdir(claimed_dir):
-        if name.startswith(".") or _CLAIM_SEP not in name:
-            continue
-        job = name.split(_CLAIM_SEP, 1)[0]
-        try:
-            chunk = int(job[len("chunk-"):-len(_JOB_SUFFIX)])
-        except ValueError:
-            continue
+    done = run.is_done()
+    for chunk, _, path in run.claimed_jobs():
         if chunk in good or done:
             why = (f"chunk {chunk} already has a verified result"
                    if chunk in good else "run is marked DONE")
-            path = os.path.join(claimed_dir, name)
             repaired = _try_unlink(path, repair)
             findings.append(Finding("orphaned-claim", path, why,
                                     repaired))
     return good
+
+
+def _stray_temp(path, repair, findings):
+    repaired = _try_unlink(path, repair)
+    findings.append(Finding("stray-temp", path,
+                            "orphaned atomic-write temp file", repaired))
 
 
 def fsck_spool(spool, repair=False):
@@ -165,24 +128,17 @@ def fsck_spool(spool, repair=False):
     deletion of provably redundant state — fsck never rewrites or
     fabricates results.
     """
-    from ..sweep.distributed import QUARANTINE_DIR, _RUN_PREFIX
-
     findings = []
     spool = str(spool)
     committed = set()
-    for name in _listdir(spool):
-        if not name.startswith(_RUN_PREFIX):
-            continue
-        run_path = os.path.join(spool, name)
-        if not os.path.isdir(run_path):
-            continue
-        committed |= _scan_run(run_path, repair, findings)
+    for run in SpoolRun.runs(spool):
+        committed |= _scan_run(run, repair, findings)
 
-    quarantine_dir = os.path.join(spool, QUARANTINE_DIR)
-    for name in _listdir(quarantine_dir):
-        if not name.endswith(".json"):
+    for path, kind in SpoolRun.quarantined(spool):
+        if kind == "temp":
+            _stray_temp(path, repair, findings)
+        if kind != "record":
             continue
-        path = os.path.join(quarantine_dir, name)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 record = json.load(fh)
@@ -209,19 +165,19 @@ def list_quarantine(spool):
     JSON records surface their chunk/error/attempt fields; legacy
     pickle records (pre-integrity spools) are listed by name and size
     only — this function never unpickles anything, so a poisoned
-    record cannot execute code at listing time.
+    record cannot execute code at listing time. In-flight temps are
+    not records and are skipped.
     """
-    from ..sweep.distributed import QUARANTINE_DIR
-
-    quarantine_dir = os.path.join(str(spool), QUARANTINE_DIR)
     records = []
-    for name in _listdir(quarantine_dir):
-        path = os.path.join(quarantine_dir, name)
+    for path, kind in SpoolRun.quarantined(spool):
+        if kind == "temp":
+            continue
+        name = os.path.basename(path)
         try:
             size = os.path.getsize(path)
         except OSError:
             continue
-        if name.endswith(".json"):
+        if kind == "record":
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     record = json.load(fh)
@@ -243,7 +199,7 @@ def list_quarantine(spool):
                 "attempts": record.get("attempts"),
                 "workers": record.get("workers"),
             })
-        elif name.endswith(".pkl"):
+        else:
             records.append({"name": name, "bytes": size,
                             "legacy": True})
     return records

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 import warnings
 
 from ..errors import ResilienceWarning
@@ -46,8 +45,7 @@ from .shims import REAL_CLOCK, ProcessSpawner
 from ..sweep.distributed import (
     SHUTDOWN_SENTINEL,
     SWEEP_SPOOL_ENV,
-    _JOB_SUFFIX,
-    _RUN_PREFIX,
+    SpoolRun,
 )
 
 
@@ -75,47 +73,15 @@ class SpoolView:
         """
         state = {"open_runs": 0, "queued": 0, "claimed": 0,
                  "live_workers": set()}
-        try:
-            names = sorted(os.listdir(self.spool))
-        except OSError:
-            return state
-        now = time.time()
-        for name in names:
-            if not name.startswith(_RUN_PREFIX):
-                continue
-            run_path = os.path.join(self.spool, name)
-            if (os.path.exists(os.path.join(run_path, "DONE"))
-                    or not os.path.exists(
-                        os.path.join(run_path, "OPEN"))):
+        for run in SpoolRun.runs(self.spool):
+            if not run.is_live():
                 continue
             state["open_runs"] += 1
-            state["queued"] += self._count(
-                os.path.join(run_path, "queue"), _JOB_SUFFIX)
-            state["claimed"] += self._count(
-                os.path.join(run_path, "claimed"), None)
-            hb_dir = os.path.join(run_path, "hb")
-            try:
-                beats = os.listdir(hb_dir)
-            except OSError:
-                beats = []
-            for wid in beats:
-                try:
-                    age = now - os.path.getmtime(
-                        os.path.join(hb_dir, wid))
-                except OSError:
-                    continue
-                if age <= self.heartbeat_fresh:
-                    state["live_workers"].add(wid)
+            state["queued"] += len(run.queued())
+            state["claimed"] += len(run.claimed_jobs())
+            state["live_workers"] |= run.live_workers(
+                self.heartbeat_fresh)
         return state
-
-    @staticmethod
-    def _count(directory, suffix):
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return 0
-        return sum(1 for n in names if not n.startswith(".")
-                   and (suffix is None or n.endswith(suffix)))
 
 
 class FleetSupervisor:

@@ -94,6 +94,11 @@ class FileSystem:
 REAL_FS = FileSystem()
 
 
+#: Name prefix of :func:`atomic_write` temp files; a leftover one is a
+#: write a crash interrupted.
+TEMP_PREFIX = ".tmp-"
+
+
 def atomic_write(path, data, fs=REAL_FS):
     """Write ``data`` to ``path`` through a same-directory temp file.
 
@@ -103,7 +108,8 @@ def atomic_write(path, data, fs=REAL_FS):
     """
     directory, name = os.path.split(path)
     directory = directory or "."
-    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex[:8]}-{name}")
+    tmp = os.path.join(directory,
+                       f"{TEMP_PREFIX}{uuid.uuid4().hex[:8]}-{name}")
     fs.makedirs(directory)
     try:
         fs.write_bytes(tmp, data)

@@ -8,8 +8,8 @@ that shape first-class:
 * :mod:`repro.sweep.spec` — :class:`SweepSpec`: named axes with
   product/zip composition,
 * :mod:`repro.sweep.runner` — :class:`SweepRunner`: serial, thread,
-  process-pool, chunked, and distributed executors with deterministic
-  result order,
+  process-pool (one point or one ``chunk_size`` chunk per task), and
+  distributed executors with deterministic result order,
 * :mod:`repro.sweep.result` — :class:`SweepResult`: values in spec
   order, grid reshaping, table rendering,
 * :mod:`repro.sweep.distributed` — the spool-directory broker/worker

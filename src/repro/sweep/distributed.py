@@ -1,6 +1,6 @@
 """Distributed sweep execution over a spool-directory job queue.
 
-The fifth :data:`~repro.sweep.runner.EXECUTORS` entry ships
+The last :data:`~repro.sweep.runner.EXECUTORS` entry ships
 :class:`~repro.sweep.spec.SweepSpec` chunks to *worker processes* —
 spawned locally by the broker, or attached from anywhere that can see
 the spool directory (``python -m repro.cli worker --spool DIR``). The
@@ -14,6 +14,8 @@ Protocol (one *run* per sweep, one directory per run)::
 
     <spool>/
       shutdown                    # sentinel: long-lived workers exit
+      quarantine/chunk-000007.json  # poison-chunk record (JSON;
+                                    # pre-JSON spools left a .pkl)
       run-<token>/
         task.pkl                  # the (picklable) point function
         OPEN                      # broker accepts claims while present
@@ -23,6 +25,15 @@ Protocol (one *run* per sweep, one directory per run)::
         results/chunk-000007.pkl  # committed values (or shipped error)
         hb/<wid>                  # heartbeats, refreshed by a ticker
                                   # thread while a chunk evaluates
+        replay/chunk-000007.pkl   # kept runs: the chunk's input points
+        manifest.json             # kept runs: sealed per-chunk digests
+
+Names starting with a dot are in-flight writes (``.tmp-*``, see
+:func:`~repro.store.atomic_write`) and never part of the protocol; a
+name that is not the canonical ``chunk-NNNNNN`` spelling is debris
+every reader skips (and ``repro spool fsck`` names). :class:`SpoolRun`
+is the only code that spells this layout — the fleet supervisor,
+``fsck``, ``audit`` and the CLI all read the spool through it.
 
 Scheduling is *dynamic work stealing*: chunk sizes follow the guided
 self-scheduling rule (:func:`schedule_chunks` — large chunks first,
@@ -43,6 +54,8 @@ byte-identical to the serial baseline.
 
 from __future__ import annotations
 
+import collections
+import functools
 import json
 import os
 import pickle
@@ -55,8 +68,8 @@ import uuid
 import warnings
 
 from ..errors import IntegrityError, ParameterError, ResilienceWarning
-from ..integrity.manifest import MANIFEST_NAME, RunManifest
 from ..store import (
+    TEMP_PREFIX,
     atomic_write,
     blob_digest,
     pack_record,
@@ -116,8 +129,29 @@ def _env_number(name, cast):
             f"got {raw!r}") from None
 
 _RUN_PREFIX = "run-"
+_CHUNK_PREFIX = "chunk-"
 _JOB_SUFFIX = ".job"
+_RESULT_SUFFIX = ".pkl"
 _CLAIM_SEP = "@"
+#: Quarantine entry kind by file suffix (``.pkl``: pre-JSON records).
+_QUARANTINE_KINDS = {".json": "record", ".pkl": "legacy"}
+
+
+def _listdir(directory):
+    """Sorted entries of ``directory``; missing or unreadable reads as
+    empty (a broker tearing its run down mid-scan is not an error)."""
+    try:
+        return sorted(os.listdir(directory))
+    except OSError:
+        return []
+
+
+def _age(path):
+    """Seconds since ``path`` was last modified; inf when it is gone."""
+    try:
+        return time.time() - os.path.getmtime(path)
+    except OSError:
+        return float("inf")
 
 
 def _json_safe_point(point):
@@ -128,6 +162,15 @@ def _json_safe_point(point):
         return point
     except (TypeError, ValueError):
         return repr(point)
+
+
+def _unlink(path):
+    """Remove ``path``; False when it was already gone."""
+    try:
+        os.unlink(path)
+        return True
+    except OSError:
+        return False
 
 
 def _load_pickle(path):
@@ -153,7 +196,7 @@ def schedule_chunks(n_points, n_workers, chunk_size=None, min_chunk=1):
     """``(start, stop)`` chunk bounds for dynamic work stealing.
 
     With an explicit ``chunk_size`` the split is uniform (the
-    ``chunked`` executor's contract, kept so ``chunk_size`` means the
+    ``process`` executor's contract, kept so ``chunk_size`` means the
     same thing on every executor). Otherwise sizes follow the guided
     self-scheduling rule: each next chunk takes ``remaining / (2 *
     workers)`` points, never below ``min_chunk`` — the sweep opens with
@@ -180,15 +223,6 @@ def schedule_chunks(n_points, n_workers, chunk_size=None, min_chunk=1):
     return bounds
 
 
-def _job_name(chunk):
-    return f"chunk-{chunk:06d}{_JOB_SUFFIX}"
-
-
-def _chunk_of(name):
-    stem = name.split(_CLAIM_SEP, 1)[0]
-    return int(stem[len("chunk-"):-len(_JOB_SUFFIX)])
-
-
 class SpoolRun:
     """One sweep run inside a spool directory — both protocol ends.
 
@@ -196,6 +230,8 @@ class SpoolRun:
     run directory and persists the point function); workers construct
     it from the path alone. Every mutation is an atomic rename, so
     concurrent claims, commits, and steals never observe torn state.
+    Its layout helpers (:meth:`chunk_name`, :meth:`parse_chunk`,
+    :meth:`runs`, ...) are the only spelling of the spool layout.
     """
 
     def __init__(self, path):
@@ -204,9 +240,116 @@ class SpoolRun:
         self.claimed_dir = os.path.join(self.path, "claimed")
         self.results_dir = os.path.join(self.path, "results")
         self.hb_dir = os.path.join(self.path, "hb")
-        self._task_path = os.path.join(self.path, "task.pkl")
+        self.replay_dir = os.path.join(self.path, REPLAY_DIR)
+        self.task_path = os.path.join(self.path, "task.pkl")
         self._open_path = os.path.join(self.path, "OPEN")
         self._done_path = os.path.join(self.path, "DONE")
+
+    # -- layout --------------------------------------------------------------
+
+    @staticmethod
+    def chunk_name(chunk, suffix=""):
+        """``chunk-NNNNNN<suffix>``: the one spelling of a chunk's
+        files (and, without a suffix, of its manifest entry)."""
+        return f"{_CHUNK_PREFIX}{int(chunk):06d}{suffix}"
+
+    @staticmethod
+    def parse_chunk(name, suffix=""):
+        """The chunk ordinal :meth:`chunk_name` spelled as ``name``;
+        None for any other name (temps, debris, a non-canonical
+        spelling) so every reader skips exactly the same files."""
+        digits = name[len(_CHUNK_PREFIX):len(name) - len(suffix)]
+        if (digits.isascii() and digits.isdigit()
+                and SpoolRun.chunk_name(int(digits), suffix) == name):
+            return int(digits)
+        return None
+
+    @classmethod
+    def runs(cls, spool):
+        """Every ``run-*`` directory under ``spool`` in name order; a
+        missing or unreadable spool reads as empty."""
+        paths = (os.path.join(spool, name) for name in _listdir(spool)
+                 if name.startswith(_RUN_PREFIX))
+        return [cls(path) for path in paths if os.path.isdir(path)]
+
+    @classmethod
+    def quarantine_path(cls, spool, chunk):
+        """Where ``chunk``'s poison record lands under ``spool``."""
+        return os.path.join(spool, QUARANTINE_DIR,
+                            cls.chunk_name(chunk, ".json"))
+
+    @classmethod
+    def quarantined(cls, spool):
+        """``(path, kind)`` of every entry in ``<spool>/quarantine/``:
+        kind ``"temp"`` for an atomic-write temp, ``"record"`` for a
+        JSON poison record, ``"legacy"`` for a pre-JSON pickle record.
+        Other names (and other dot names) are skipped."""
+        directory = os.path.join(str(spool), QUARANTINE_DIR)
+        entries = []
+        for name in _listdir(directory):
+            if name.startswith(TEMP_PREFIX):
+                kind = "temp"
+            elif name.startswith("."):
+                continue
+            else:
+                kind = _QUARANTINE_KINDS.get(os.path.splitext(name)[1])
+            if kind is not None:
+                entries.append((os.path.join(directory, name), kind))
+        return entries
+
+    def result_path(self, chunk):
+        return os.path.join(self.results_dir,
+                            self.chunk_name(chunk, _RESULT_SUFFIX))
+
+    def replay_path(self, chunk):
+        return os.path.join(self.replay_dir,
+                            self.chunk_name(chunk, _RESULT_SUFFIX))
+
+    def _entries(self, directory, suffix):
+        """``(chunk, path)`` of each non-dot entry; chunk is None for
+        a name :meth:`parse_chunk` rejects."""
+        return [(self.parse_chunk(name, suffix),
+                 os.path.join(directory, name))
+                for name in _listdir(directory)
+                if not name.startswith(".")]
+
+    def queued(self):
+        """``(chunk, path)`` of every pending job, lowest chunk first."""
+        return [(chunk, path) for chunk, path
+                in self._entries(self.queue_dir, _JOB_SUFFIX)
+                if chunk is not None]
+
+    def results(self):
+        """``(chunk, path)`` of every committed result file; chunk is
+        None for a file that is not a chunk commit (fsck flags it)."""
+        return self._entries(self.results_dir, _RESULT_SUFFIX)
+
+    def claimed_jobs(self):
+        """``(chunk, worker_id, path)`` of every outstanding claim."""
+        out = []
+        for name in _listdir(self.claimed_dir):
+            job, _, wid = name.partition(_CLAIM_SEP)
+            chunk = self.parse_chunk(job, _JOB_SUFFIX)
+            if chunk is not None and wid:
+                out.append((chunk, wid,
+                            os.path.join(self.claimed_dir, name)))
+        return out
+
+    def live_workers(self, fresh):
+        """Ids of workers whose heartbeat is at most ``fresh`` s old."""
+        return {wid for wid in _listdir(self.hb_dir)
+                if _age(os.path.join(self.hb_dir, wid)) <= fresh}
+
+    def temp_files(self):
+        """In-flight (or crash-orphaned) atomic-write temp files in the
+        run root and every sub-directory written through
+        :func:`~repro.store.atomic_write` (heartbeats are not)."""
+        return [os.path.join(directory, name)
+                for directory in (self.path, self.queue_dir,
+                                  self.claimed_dir, self.results_dir,
+                                  self.replay_dir)
+                for name in _listdir(directory)
+                if name.startswith(TEMP_PREFIX)]
 
     # -- broker side ---------------------------------------------------------
 
@@ -221,14 +364,15 @@ class SpoolRun:
         for directory in (run.queue_dir, run.claimed_dir,
                           run.results_dir, run.hb_dir):
             os.mkdir(directory)
-        atomic_write(run._task_path,
+        atomic_write(run.task_path,
                      pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL))
         return run
 
     def enqueue(self, chunk, points):
         """Queue one chunk job (atomically; claimable immediately)."""
         job = {"chunk": int(chunk), "points": list(points)}
-        atomic_write(os.path.join(self.queue_dir, _job_name(chunk)),
+        atomic_write(os.path.join(self.queue_dir,
+                                  self.chunk_name(chunk, _JOB_SUFFIX)),
                      pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))
 
     def open(self):
@@ -243,13 +387,14 @@ class SpoolRun:
         """All results collected: flip OPEN -> DONE so workers move on."""
         with open(self._done_path, "w"):
             pass
-        try:
-            os.unlink(self._open_path)
-        except OSError:
-            pass
+        _unlink(self._open_path)
 
     def is_done(self):
         return os.path.exists(self._done_path)
+
+    def is_live(self):
+        """Accepting claims: opened and not yet marked done."""
+        return self.is_open() and not self.is_done()
 
     def collect(self, skip=frozenset()):
         """Yield ``(chunk, payload)`` of committed results not in ``skip``.
@@ -262,17 +407,9 @@ class SpoolRun:
         broker can count and retry it — corrupt bytes never reassemble
         into sweep values.
         """
-        try:
-            names = sorted(os.listdir(self.results_dir))
-        except FileNotFoundError:
-            return
-        for name in names:
-            if name.startswith("."):
+        for chunk, path in self.results():
+            if chunk is None or chunk in skip:
                 continue
-            chunk = int(name[len("chunk-"):-len(".pkl")])
-            if chunk in skip:
-                continue
-            path = os.path.join(self.results_dir, name)
             try:
                 with open(path, "rb") as fh:
                     blob = fh.read()
@@ -284,17 +421,6 @@ class SpoolRun:
                 payload = None
             yield chunk, payload
 
-    def claimed_jobs(self):
-        """``(chunk, worker_id, path)`` of every outstanding claim."""
-        out = []
-        for name in sorted(os.listdir(self.claimed_dir)):
-            if name.startswith(".") or _CLAIM_SEP not in name:
-                continue
-            job, wid = name.split(_CLAIM_SEP, 1)
-            out.append((_chunk_of(job), wid,
-                        os.path.join(self.claimed_dir, name)))
-        return out
-
     def heartbeat_age(self, worker_id, claim_path):
         """Seconds since this claim was last known live.
 
@@ -305,13 +431,8 @@ class SpoolRun:
         idle stretch must not be condemned by the stale hb file of its
         *previous* chunk before its first fresh touch lands.
         """
-        ages = []
-        for path in (os.path.join(self.hb_dir, worker_id), claim_path):
-            try:
-                ages.append(time.time() - os.path.getmtime(path))
-            except OSError:
-                continue
-        return min(ages) if ages else float("inf")
+        return min(_age(os.path.join(self.hb_dir, worker_id)),
+                   _age(claim_path))
 
     def discard_result(self, chunk):
         """Drop a committed (error) result so the chunk can retry.
@@ -320,31 +441,13 @@ class SpoolRun:
         existence; unlinking it is what re-arms the chunk for a fresh
         commit after the broker re-enqueues it.
         """
-        try:
-            os.unlink(os.path.join(self.results_dir,
-                                   f"chunk-{chunk:06d}.pkl"))
-        except OSError:
-            pass
-
-    def requeue(self, claim_path):
-        """Steal a (stale) claim back onto the queue; returns the chunk.
-
-        Returns None when the claim vanished underneath us — its worker
-        committed and cleared it between the staleness check and now,
-        which is not an error (the result is already in ``results/``).
-        """
-        name = os.path.basename(claim_path).split(_CLAIM_SEP, 1)[0]
-        try:
-            os.rename(claim_path, os.path.join(self.queue_dir, name))
-        except OSError:
-            return None
-        return _chunk_of(name)
+        _unlink(self.result_path(chunk))
 
     # -- worker side ---------------------------------------------------------
 
     def load_func(self):
         """The run's point function (pickled once by the broker)."""
-        return _load_pickle(self._task_path)
+        return _load_pickle(self.task_path)
 
     def claim(self, worker_id):
         """Claim the lowest pending chunk via atomic rename.
@@ -353,18 +456,12 @@ class SpoolRun:
         is empty. Losing a rename race to another worker just moves on
         to the next pending job.
         """
-        try:
-            names = sorted(os.listdir(self.queue_dir))
-        except FileNotFoundError:
-            return None
-        for name in names:
-            if name.startswith(".") or not name.endswith(_JOB_SUFFIX):
-                continue
-            claim_path = os.path.join(self.claimed_dir,
-                                      f"{name}{_CLAIM_SEP}{worker_id}")
+        for _, job_path in self.queued():
+            claim_path = os.path.join(
+                self.claimed_dir,
+                f"{os.path.basename(job_path)}{_CLAIM_SEP}{worker_id}")
             try:
-                os.rename(os.path.join(self.queue_dir, name),
-                          claim_path)
+                os.rename(job_path, claim_path)
             except OSError:
                 continue
             # The rename preserves the job file's *enqueue* mtime; a
@@ -395,11 +492,12 @@ class SpoolRun:
         practice), and a run directory the broker already tore down
         reads as a plain late duplicate, not a worker crash.
         """
-        path = os.path.join(self.results_dir, f"chunk-{chunk:06d}.pkl")
+        path = self.result_path(chunk)
         if os.path.exists(path):
             return False
-        tmp = os.path.join(self.results_dir,
-                           f".tmp-{uuid.uuid4().hex[:8]}-{worker_id}")
+        tmp = os.path.join(
+            self.results_dir,
+            f"{TEMP_PREFIX}{uuid.uuid4().hex[:8]}-{worker_id}")
         try:
             with open(tmp, "wb") as fh:
                 fh.write(pack_record(payload))
@@ -424,17 +522,12 @@ class SpoolRun:
             return True
         finally:
             if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+                _unlink(tmp)
         return True
 
     def clear_claim(self, claim_path):
-        try:
-            os.unlink(claim_path)
-        except OSError:
-            pass
+        """Drop a claim; False when it had already vanished."""
+        return _unlink(claim_path)
 
     def heartbeat(self, worker_id):
         path = os.path.join(self.hb_dir, worker_id)
@@ -557,7 +650,7 @@ class SpoolWorker:
 
     def serve_run(self, run):
         """Serve one run until it is done (the spawned-worker loop)."""
-        while not run.is_done() and run.is_open():
+        while run.is_live():
             if not self.process_one(run):
                 time.sleep(self.poll)
         _flush_kernel_store()
@@ -574,16 +667,7 @@ class SpoolWorker:
         return False
 
     def _open_runs(self):
-        try:
-            names = sorted(os.listdir(self.spool))
-        except FileNotFoundError:
-            return
-        for name in names:
-            if not name.startswith(_RUN_PREFIX):
-                continue
-            run = SpoolRun(os.path.join(self.spool, name))
-            if run.is_open() and not run.is_done():
-                yield run
+        return (run for run in SpoolRun.runs(self.spool) if run.is_live())
 
     # -- one chunk -----------------------------------------------------------
 
@@ -633,9 +717,7 @@ class SpoolWorker:
             # Post-commit damage (torn-write / truncated-result fault
             # kinds): the commit landed atomically, then the bytes
             # rotted — the case only read-side digests can catch.
-            self.faults.corrupt_result(
-                os.path.join(run.results_dir,
-                             f"chunk-{chunk:06d}.pkl"), chunk)
+            self.faults.corrupt_result(run.result_path(chunk), chunk)
         run.clear_claim(claim_path)
         self.stats["chunks"] += 1
         _flush_kernel_store()
@@ -693,6 +775,13 @@ def _spawned_worker(run_path, worker_id, poll, heartbeat_interval):
                 poll=poll,
                 heartbeat_interval=heartbeat_interval).serve_run(
         SpoolRun(run_path))
+
+
+#: The gather loop's per-run state a failed attempt touches: collected
+#: payloads, attempt counts and failing workers per chunk, every
+#: chunk's points (to re-enqueue) and the spool (to quarantine into).
+_Gather = collections.namedtuple(
+    "_Gather", "run results attempts failed_workers chunk_points spool")
 
 
 class DistributedBroker:
@@ -930,60 +1019,23 @@ class DistributedBroker:
 
     def _collect(self, run, results, attempts, failed_workers,
                  chunk_points, n_points, spool):
+        state = _Gather(run, results, attempts, failed_workers,
+                        chunk_points, spool)
         progressed = False
         for chunk, payload in run.collect(skip=results.keys()):
-            if chunk in results:  # pragma: no cover - skip covers this
-                continue
             if payload is None:
                 # Digest-failed result file (torn write, truncation,
                 # tamper): counted and retried like a shipped error —
                 # the corrupt bytes themselves never become values.
                 self.stats["integrity_rejects"] += 1
-                failed_workers.setdefault(chunk, set())
-                error = IntegrityError(
+                payload = {"error": IntegrityError(
                     f"chunk {chunk} result file failed digest "
-                    f"verification")
-                if attempts[chunk] >= self.max_attempts:
-                    if self.on_poison == "raise":
-                        raise error
-                    run.discard_result(chunk)
-                    results[chunk] = self._quarantine(
-                        chunk, chunk_points[chunk], error,
-                        attempts[chunk], failed_workers[chunk], spool)
-                    progressed = True
-                    continue
-                attempts[chunk] += 1
-                self.stats["error_retries"] += 1
-                self.stats["attempts_max"] = max(
-                    self.stats["attempts_max"], attempts[chunk])
-                run.discard_result(chunk)
-                run.enqueue(chunk, chunk_points[chunk])
-                progressed = True
-                continue
-            error = payload.get("error")
-            if error is not None:
-                # A shipped failure consumes one attempt, like a stale
-                # claim: transient errors (a worker's flaky mount, an
-                # injected fault) retry on re-enqueue; persistent ones
-                # exhaust the budget and hit the poison policy.
-                failed_workers.setdefault(chunk, set()).add(
-                    payload.get("worker"))
-                if attempts[chunk] >= self.max_attempts:
-                    if self.on_poison == "raise":
-                        raise error
-                    run.discard_result(chunk)
-                    results[chunk] = self._quarantine(
-                        chunk, chunk_points[chunk], error,
-                        attempts[chunk], failed_workers[chunk], spool)
-                    progressed = True
-                    continue
-                attempts[chunk] += 1
-                self.stats["error_retries"] += 1
-                self.stats["attempts_max"] = max(
-                    self.stats["attempts_max"], attempts[chunk])
-                run.discard_result(chunk)
-                run.enqueue(chunk, chunk_points[chunk])
-                progressed = True
+                    f"verification")}
+            if payload.get("error") is not None:
+                progressed |= self._retry_or_poison(
+                    state, chunk, payload["error"], payload.get("worker"),
+                    lambda: run.discard_result(chunk) or True,
+                    "error_retries")
                 continue
             results[chunk] = payload
             progressed = True
@@ -995,6 +1047,8 @@ class DistributedBroker:
     def _requeue_stale(self, run, results, attempts, failed_workers,
                        chunk_points, spool):
         """Steal chunks back from workers whose heartbeat went stale."""
+        state = _Gather(run, results, attempts, failed_workers,
+                        chunk_points, spool)
         progressed = False
         for chunk, wid, claim_path in run.claimed_jobs():
             if chunk in results:
@@ -1006,29 +1060,50 @@ class DistributedBroker:
             age = run.heartbeat_age(wid, claim_path)
             if age <= self.heartbeat_timeout:
                 continue
-            failed_workers.setdefault(chunk, set()).add(wid)
-            if attempts[chunk] >= self.max_attempts:
-                if self.on_poison == "raise":
-                    raise RuntimeError(
-                        f"chunk {chunk} failed {attempts[chunk]} claim "
-                        f"attempt(s) (last worker {wid} went silent "
-                        f"for {age:.1f}s); giving up")
-                run.clear_claim(claim_path)
-                results[chunk] = self._quarantine(
-                    chunk, chunk_points[chunk],
-                    RuntimeError(f"worker {wid} went silent for "
-                                 f"{age:.1f}s"),
-                    attempts[chunk], failed_workers[chunk], spool)
-                progressed = True
-                continue
-            if run.requeue(claim_path) is None:
-                continue
-            attempts[chunk] += 1
-            self.stats["requeued"] += 1
-            self.stats["attempts_max"] = max(
-                self.stats["attempts_max"], attempts[chunk])
-            progressed = True
+            error = RuntimeError(f"worker {wid} went silent for "
+                                 f"{age:.1f}s")
+            progressed |= self._retry_or_poison(
+                state, chunk, error, wid,
+                functools.partial(run.clear_claim, claim_path),
+                "requeued", fatal=RuntimeError(
+                    f"chunk {chunk} failed {attempts[chunk]} claim "
+                    f"attempt(s) (last {error}); giving up"))
         return progressed
+
+    def _retry_or_poison(self, state, chunk, error, worker, release,
+                         stat, fatal=None):
+        """Account one failed attempt at ``chunk``: retry or poison it.
+
+        The one failure path for a digest-failed result, a shipped
+        error and a silent worker alike. ``error`` is what failed,
+        ``worker`` who failed it (None when unknown), and ``release()``
+        frees the failed attempt's file — a result or a claim —
+        returning False when it had already vanished (the claim's
+        worker committed meanwhile: nothing to retry). Within
+        ``max_attempts`` the chunk is re-enqueued and counted in
+        ``stats[stat]``; past it the poison policy raises ``fatal``
+        (default ``error``) or quarantines the chunk. Returns whether
+        the gather loop progressed.
+        """
+        attempts = state.attempts
+        failed = state.failed_workers.setdefault(chunk, set())
+        failed.add(worker)
+        if attempts[chunk] >= self.max_attempts:
+            if self.on_poison == "raise":
+                raise fatal if fatal is not None else error
+            release()
+            state.results[chunk] = self._quarantine(
+                chunk, state.chunk_points[chunk], error,
+                attempts[chunk], failed, state.spool)
+            return True
+        if not release():
+            return False
+        attempts[chunk] += 1
+        self.stats[stat] += 1
+        self.stats["attempts_max"] = max(self.stats["attempts_max"],
+                                         attempts[chunk])
+        state.run.enqueue(chunk, state.chunk_points[chunk])
+        return True
 
     def _quarantine(self, chunk, points, error, n_attempts, workers,
                     spool):
@@ -1048,8 +1123,7 @@ class DistributedBroker:
         survive JSON degrade to their ``repr`` too.
         """
         workers = sorted(str(w) for w in workers if w is not None)
-        record_path = os.path.join(spool, QUARANTINE_DIR,
-                                   f"chunk-{chunk:06d}.json")
+        record_path = SpoolRun.quarantine_path(spool, chunk)
         record = {
             "chunk": int(chunk),
             "points": [_json_safe_point(p) for p in points],
@@ -1067,7 +1141,7 @@ class DistributedBroker:
             f"across worker(s) {workers or ['<none>']} ({error!r}); "
             f"its {len(points)} point(s) return None"
             + (f"; record at {record_path}" if record_path else ""),
-            ResilienceWarning, stacklevel=4)
+            ResilienceWarning, stacklevel=5)
         return {"chunk": int(chunk), "values": [None] * len(points),
                 "worker": None, "quarantined": True}
 
@@ -1081,14 +1155,16 @@ class DistributedBroker:
         Quarantined chunks are recorded as such (their stand-in None
         values are not a reproducible artifact).
         """
-        replay_dir = os.path.join(run.path, REPLAY_DIR)
+        # Imported here: repro.integrity's fsck reads spools through
+        # this module, so a module-level import would cycle.
+        from ..integrity.manifest import MANIFEST_NAME, RunManifest
+
         entries = {}
         for chunk in sorted(results):
             points = chunk_points[chunk]
-            atomic_write(
-                os.path.join(replay_dir, f"chunk-{chunk:06d}.pkl"),
-                pickle.dumps(list(points),
-                             protocol=pickle.HIGHEST_PROTOCOL))
+            atomic_write(run.replay_path(chunk),
+                         pickle.dumps(list(points),
+                                      protocol=pickle.HIGHEST_PROTOCOL))
             payload = results[chunk]
             entry = {"n_points": len(points)}
             if payload.get("quarantined"):
@@ -1096,9 +1172,9 @@ class DistributedBroker:
             else:
                 entry["values_sha256"] = pickle_digest(
                     payload["values"])
-            entries[f"chunk-{chunk:06d}"] = entry
+            entries[run.chunk_name(chunk)] = entry
         try:
-            with open(run._task_path, "rb") as fh:
+            with open(run.task_path, "rb") as fh:
                 task_digest = blob_digest(fh.read())
         except OSError:  # pragma: no cover - defensive
             task_digest = None

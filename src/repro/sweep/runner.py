@@ -17,11 +17,10 @@ Executors:
   pickling overhead — and all workers share the one process-wide
   kernel store,
 * ``"process"`` — a ``concurrent.futures.ProcessPoolExecutor``, one
-  task per point; the point function and its bound arguments must be
+  point per task by default or contiguous chunks of ``chunk_size``
+  points to amortize pickling and per-task overhead on many cheap
+  points; the point function and its bound arguments must be
   picklable (module-level functions / ``functools.partial`` of them),
-* ``"chunked"`` — the process pool again, but points are submitted in
-  contiguous chunks to amortize pickling and per-task overhead; right
-  for many cheap points,
 * ``"distributed"`` — a broker + worker transport over a spool-
   directory job queue (:mod:`repro.sweep.distributed`): chunks are
   scheduled with guided work stealing, workers may be spawned locally
@@ -54,7 +53,7 @@ from .result import SweepResult
 from .spec import SweepSpec
 
 #: The executor registry (name -> SweepRunner method suffix).
-EXECUTORS = ("serial", "thread", "process", "chunked", "distributed")
+EXECUTORS = ("serial", "thread", "process", "distributed")
 
 #: Environment override of the parallel executor picked by ``--jobs``.
 SWEEP_EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
@@ -88,7 +87,7 @@ def _worker_initializer():
 
 
 def _apply_point(func, params):
-    """Evaluate one point (module-level for picklability)."""
+    """Evaluate one point (the thread executor's task)."""
     return func(**params)
 
 
@@ -112,9 +111,8 @@ class SweepRunner:
         Worker-process count for the pool executors; None lets
         ``ProcessPoolExecutor`` pick (``os.cpu_count()``).
     chunk_size:
-        Points per task for ``"chunked"`` (default: ~4 chunks per
-        worker) and ``"distributed"`` (default: the guided
-        work-stealing schedule of
+        Points per task for ``"process"`` (default: 1) and
+        ``"distributed"`` (default: the guided work-stealing schedule of
         :func:`repro.sweep.distributed.schedule_chunks`).
     spool:
         Spool directory for ``"distributed"``; default is the
@@ -123,9 +121,10 @@ class SweepRunner:
     progress:
         Optional callback invoked as ``progress(done, total)`` (in
         points) whenever completed work lands: after every point
-        (serial/thread/process), after every chunk (chunked), or after
-        every collected chunk (distributed). It is also the
-        cancellation point on the serial executor — raising
+        (serial/thread), after every task (process: a point, or a
+        ``chunk_size`` chunk), or after every collected chunk
+        (distributed). It is also the cancellation
+        point on the serial executor — raising
         :class:`~repro.errors.RunAborted` from the callback stops the
         sweep at the next point boundary. The callback never reorders
         or changes values, so a seeded sweep with ``progress`` is
@@ -166,8 +165,6 @@ class SweepRunner:
             values = self._run_threads(spec.points())
         elif self.executor == "process":
             values = self._run_pool(spec.points())
-        elif self.executor == "chunked":
-            values = self._run_chunked(spec.points())
         else:
             values, extras["distributed"] = self._run_distributed(
                 spec.points())
@@ -235,21 +232,9 @@ class SweepRunner:
                                         [1] * len(points))
 
     def _run_pool(self, points):
-        with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_initializer) as pool:
-            if self.progress is None:
-                return list(pool.map(
-                    _apply_point, [self.func] * len(points), points))
-            return self._gather_ordered(pool, _apply_point, points,
-                                        [1] * len(points))
-
-    def _run_chunked(self, points):
-        n_workers = self._effective_jobs()
-        chunk = self.chunk_size or max(
-            1, -(-len(points) // (4 * n_workers)))
-        chunks = [points[i:i + chunk]
-                  for i in range(0, len(points), chunk)]
+        size = self.chunk_size or 1
+        chunks = [points[i:i + size]
+                  for i in range(0, len(points), size)]
         with ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_initializer) as pool:
@@ -292,7 +277,7 @@ def add_sweep_arguments(parser):
     parser.add_argument("--executor", choices=EXECUTORS, default=None,
                         help="sweep executor (thread shares one "
                              "process and its kernel store; "
-                             "process/chunked fork workers; "
+                             "process forks workers; "
                              "distributed ships chunks over a spool-"
                              "directory job queue — see `repro "
                              "worker`)")

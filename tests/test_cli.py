@@ -338,6 +338,14 @@ class TestAuditCommand:
         assert main(["audit"]) == 2
         assert "nothing to audit" in capsys.readouterr().out
 
+    def test_audit_missing_spool_fails_even_with_other_targets(
+            self, tmp_path, capsys):
+        """A spool path the operator named but that cannot be read must
+        fail the gate, not audit nothing and pass on the canary."""
+        missing = str(tmp_path / "no-such-spool")
+        assert main(["audit", "--spool", missing, "--canary"]) == 2
+        assert "unreadable" in capsys.readouterr().out
+
     def test_audit_json_output(self, tmp_path, capsys):
         import json
         spool, _ = self._kept_run(tmp_path)

@@ -486,6 +486,28 @@ class TestFsck:
         open(stray, "wb").close()
         self._detect_then_repair(spool, "stray-temp")
 
+    def test_stray_temp_in_replay_round_trip(self, tmp_path):
+        """``_preserve`` writes replay/ through atomic_write, so a
+        crash there orphans a temp file fsck must name too."""
+        spool, run_path, _, _ = _kept_run(tmp_path)
+        stray = os.path.join(run_path, "replay",
+                             ".tmp-deadbeef-chunk-000001.pkl")
+        open(stray, "wb").close()
+        finding = self._detect_then_repair(spool, "stray-temp")
+        assert finding.path == stray
+
+    def test_stray_temp_in_quarantine_round_trip(self, tmp_path):
+        """An interrupted quarantine write is a stray temp, not an
+        unreadable record — for fsck and for the listing alike."""
+        spool, _, _, _ = _kept_run(tmp_path)
+        qdir = os.path.join(spool, QUARANTINE_DIR)
+        os.makedirs(qdir, exist_ok=True)
+        stray = os.path.join(qdir, ".tmp-deadbeef-chunk-000042.json")
+        open(stray, "w").write('{"chunk": 4')
+        assert list_quarantine(spool) == []
+        finding = self._detect_then_repair(spool, "stray-temp")
+        assert finding.path == stray
+
     def test_stray_quarantine_round_trip(self, tmp_path):
         spool, run_path, _, _ = _kept_run(tmp_path)
         qdir = os.path.join(spool, QUARANTINE_DIR)
@@ -523,6 +545,31 @@ class TestFsck:
 
 @pytest.mark.integration
 class TestOperatorCommands:
+    def test_seeded_spool_run_with_spawned_workers_audits_green(
+            self, tmp_path):
+        """The integrity smoke: a seeded 16x16 memsys grid served by
+        two spawned local workers, kept with its manifest, passes
+        ``repro audit`` — replay included — untouched."""
+        from functools import partial
+
+        from repro.cli import main
+        from repro.device import MTJDevice, PAPER_EVAL_DEVICE
+        from repro.memsys.sweeps import _rates_point
+        from repro.sweep import SweepSpec
+        spec = SweepSpec.product(pattern=["solid0", "random"],
+                                 ecc=["none", "secded"],
+                                 ratio=[3.0, 2.0])
+        func = partial(_rates_point, MTJDevice(PAPER_EVAL_DEVICE), 16,
+                       16, 3, {})
+        spool = str(tmp_path / "spool")
+        broker = DistributedBroker(func, spool=spool, jobs=2,
+                                   chunk_size=2, timeout=240.0,
+                                   keep_run=True)
+        broker.run(spec.points())
+        assert broker.stats["workers_spawned"] == 2
+        assert os.path.isfile(broker.stats["manifest"])
+        assert main(["audit", "--spool", spool]) == 0
+
     def test_audit_and_fsck_exit_codes_over_a_mangled_spool(self,
                                                             tmp_path):
         """``repro audit`` and ``repro spool fsck`` as an operator runs

@@ -148,8 +148,8 @@ class TestSweepRunner:
     def test_executor_for_jobs_env_beats_size_heuristic(self,
                                                         monkeypatch):
         from repro.sweep import SWEEP_EXECUTOR_ENV
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "chunked")
-        assert executor_for_jobs(4, n_points=4) == "chunked"
+        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "distributed")
+        assert executor_for_jobs(4, n_points=4) == "distributed"
 
     def test_executor_for_jobs_thread_parallel(self):
         assert executor_for_jobs(4, parallel="thread") == "thread"
@@ -194,6 +194,40 @@ class TestSweepRunner:
         assert executor_for_jobs(None) == "serial"
         assert executor_for_jobs(1) == "serial"
 
+    def test_chunked_executor_is_gone(self, monkeypatch):
+        """``process`` absorbed ``chunked``: every way of naming it
+        gets the ParameterError that lists the valid executors."""
+        from repro.cli import main
+        from repro.service.protocol import SweepQuery
+        from repro.service.runners import pick_executor
+        from repro.sweep import SWEEP_EXECUTOR_ENV
+        assert "chunked" not in EXECUTORS
+        with pytest.raises(ParameterError, match="distributed"):
+            SweepRunner(require_positive_product, executor="chunked")
+        with pytest.raises(ParameterError, match="distributed"):
+            pick_executor(SweepQuery(executor="chunked"))
+        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "chunked")
+        with pytest.raises(ParameterError, match="distributed"):
+            executor_for_jobs(4)
+        with pytest.raises(SystemExit):
+            main(["design", "--jobs", "2", "--executor", "chunked"])
+
+    def test_process_reports_progress_once_per_chunk(self):
+        spec = SweepSpec.product(a=(1, 2, 3, 4, 5), b=(2, 3))
+        expected = [a * b for a in (1, 2, 3, 4, 5) for b in (2, 3)]
+        for chunk_size, n_chunks in ((None, 10), (4, 3)):
+            # Default: one point per task.
+            seen = []
+            result = run_sweep(
+                require_positive_product, spec, executor="process",
+                jobs=2, chunk_size=chunk_size,
+                progress=lambda done, total: seen.append((done, total)))
+            assert result.values == expected
+            assert len(seen) == n_chunks, chunk_size
+            assert [total for _, total in seen] == [10] * n_chunks
+            assert seen[-1][0] == 10
+            assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+
     def test_worker_error_propagates(self):
         spec = SweepSpec.product(a=(1, -1), b=(2,))
         with pytest.raises(ParameterError):
@@ -208,8 +242,8 @@ class TestSweepRunner:
 
 @pytest.mark.integration
 class TestSeededSweepDeterminism:
-    """Acceptance: serial == thread == process == chunked ==
-    distributed for every seeded consumer sweep."""
+    """Acceptance: serial == thread == process (default and explicit
+    ``chunk_size``) == distributed for every seeded consumer sweep."""
 
     def test_memsys_uber_sweep_all_executors_equal(self):
         from repro.device import MTJDevice, PAPER_EVAL_DEVICE
@@ -218,8 +252,7 @@ class TestSeededSweepDeterminism:
         kwargs = dict(pitch_ratios=(3.0, 1.5), patterns=("solid0",),
                       rows=16, cols=16, seed=3)
         serial = uber_sweep(device, **kwargs)
-        for executor in ("thread", "process", "chunked",
-                         "distributed"):
+        for executor in ("thread", "process", "distributed"):
             result = uber_sweep(device, executor=executor, jobs=2,
                                 **kwargs)
             assert result.rows == serial.rows, executor
@@ -231,12 +264,29 @@ class TestSeededSweepDeterminism:
         from repro.device import PAPER_EVAL_DEVICE
         explorer = DesignSpaceExplorer(PAPER_EVAL_DEVICE)
         serial = explorer.sweep([30e-9, 35e-9], [2.0, 3.0])
-        for executor in ("thread", "process", "chunked",
-                         "distributed"):
+        for executor in ("thread", "process", "distributed"):
             result = explorer.sweep([30e-9, 35e-9], [2.0, 3.0], jobs=2,
                                     executor=executor)
             # DesignPoint is a frozen dataclass: == is exact equality.
             assert result == serial, executor
+
+    def test_memsys_rates_process_explicit_chunk_size_equals_serial(
+            self):
+        """The seeded memsys point function on ``process`` with an
+        explicit ``chunk_size`` that splits the grid unevenly."""
+        from functools import partial
+
+        from repro.device import MTJDevice, PAPER_EVAL_DEVICE
+        from repro.memsys.sweeps import _rates_point
+        func = partial(_rates_point, MTJDevice(PAPER_EVAL_DEVICE), 16,
+                       16, 3, {})
+        spec = SweepSpec.product(pattern=("solid0", "random"),
+                                 ecc=("none", "secded"),
+                                 ratio=(3.0, 1.5))
+        serial = run_sweep(func, spec)
+        chunked = run_sweep(func, spec, executor="process", jobs=2,
+                            chunk_size=3)
+        assert chunked.values == serial.values
 
     def test_disk_backed_store_matches_fresh_compute(self, tmp_path):
         """Parity: a sweep over disk-cached kernels is bit-identical

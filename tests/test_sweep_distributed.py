@@ -379,6 +379,53 @@ class TestFaultInjection:
         assert not os.path.exists(claim_path)
 
 
+    def test_non_chunk_debris_is_skipped_by_every_reader(self,
+                                                         tmp_path):
+        """One name parser: the broker, the fleet view and fsck agree
+        that debris in a live run is not a chunk — the gather loop
+        neither crashes on it nor counts it as work."""
+        from repro.integrity import fsck_spool
+        from repro.resilience import SpoolView
+        spool = str(tmp_path)
+        run = SpoolRun.create(spool, product_point)
+        run.enqueue(0, [{"a": 2, "b": 3}])
+        run.enqueue(1, [{"a": 4, "b": 5}])
+        run.open()
+        SpoolWorker(spool, worker_id="w0", poll=0.01).process_one(run)
+        for debris in (os.path.join(run.results_dir, "notes.txt"),
+                       os.path.join(run.results_dir, "chunk-1.pkl"),
+                       os.path.join(run.claimed_dir, "junk@w1"),
+                       os.path.join(run.queue_dir, "chunk-7.job")):
+            open(debris, "w").close()
+        # A stale claim is what the watchdog would steal, if it parsed.
+        os.utime(os.path.join(run.claimed_dir, "junk@w1"), (1.0, 1.0))
+
+        broker = DistributedBroker(product_point, heartbeat_timeout=0.1)
+        broker.stats = {"requeued": 0, "duplicates": 0,
+                        "attempts_max": 1, "error_retries": 0,
+                        "integrity_rejects": 0}
+        results, attempts = {}, {0: 1, 1: 1}
+        chunk_points = {0: [{"a": 2, "b": 3}], 1: [{"a": 4, "b": 5}]}
+        assert broker._collect(run, results, attempts, {}, chunk_points,
+                               2, spool)
+        assert results == {0: {"chunk": 0, "values": [6],
+                               "worker": "w0"}}
+        assert not broker._requeue_stale(run, results, attempts, {},
+                                         chunk_points, spool)
+        assert broker.stats["integrity_rejects"] == 0
+        assert broker.stats["requeued"] == 0
+        assert [c for c, _ in run.queued()] == [1]
+        assert run.claimed_jobs() == []
+
+        state = SpoolView(spool).scan()
+        assert (state["queued"], state["claimed"]) == (1, 0)
+
+        flagged = sorted((f.kind, os.path.basename(f.path))
+                         for f in fsck_spool(spool))
+        assert flagged == [("torn-result", "chunk-1.pkl"),
+                           ("torn-result", "notes.txt")]
+
+
 class TestRetryBudgetAndQuarantine:
     """Error-payload retries, the poison policy, and the env knobs."""
 
