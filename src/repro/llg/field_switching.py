@@ -51,13 +51,15 @@ def simulate_switching_field(params, psi, h_max_ratio=1.2, n_steps=25,
     Ramps the applied-field magnitude at fixed angle ``psi`` from 0 to
     ``h_max_ratio * Hk``, relaxing the magnetization at each level, and
     returns the first field at which the easy-axis component flips.
+    An array of angles ramps as one ensemble and returns one field per
+    angle.
 
     Parameters
     ----------
     params:
         :class:`~repro.llg.macrospin.MacrospinParameters`.
     psi:
-        Field angle from the easy axis [rad], in (0, pi/2].
+        Field angle(s) from the easy axis [rad], in (0, pi/2].
     h_max_ratio:
         Ramp ceiling in units of ``Hk``.
     n_steps:
@@ -67,24 +69,29 @@ def simulate_switching_field(params, psi, h_max_ratio=1.2, n_steps=25,
     rng:
         Seed/generator (only used to break symmetric stalls).
     """
-    require_in_range(psi, "psi", 1e-4, math.pi / 2)
+    psis = require_in_range(np.atleast_1d(np.asarray(psi, dtype=float)),
+                            "psi", 1e-4, math.pi / 2)
     require_positive(relax_time, "relax_time")
     rng = np.random.default_rng(rng)
-    dt = default_time_step(params)
-    steps_per_level = int(math.ceil(relax_time / dt))
-
-    # Start in the +z well; the field points into the opposite hemisphere
-    # at angle psi from -z, so it eventually reverses the state.
-    m = np.array([1e-3, 0.0, math.sqrt(1.0 - 1e-6)])
+    # Start in the +z well; each field points into the opposite
+    # hemisphere at angle psi from -z, so it eventually reverses the state.
+    directions = np.array([[math.sin(angle), 0.0, -math.cos(angle)]
+                           for angle in psis.tolist()])
     levels = np.linspace(0.0, h_max_ratio * params.hk, n_steps + 1)[1:]
+    # Built at the ramp ceiling so dt is checked against the strongest
+    # field; each level then only lowers ``h_applied``.
+    integrator = HeunIntegrator(params, default_time_step(params),
+                                h_applied=levels[-1] * directions,
+                                thermal=False)
+    steps_per_level = int(math.ceil(relax_time / integrator.dt))
+    m = np.tile([1e-3, 0.0, math.sqrt(1.0 - 1e-6)], (psis.size, 1))
+    h_sw = np.full(psis.size, np.nan)
     for level in levels:
-        h_applied = np.array([
-            level * math.sin(psi), 0.0, -level * math.cos(psi)])
-        integrator = HeunIntegrator(params, dt, h_applied=h_applied,
-                                    thermal=False)
-        m, _ = integrator.run(m, steps_per_level, rng)
-        if m[2] < 0.0:
-            return float(level)
+        integrator.h_applied = level * directions
+        m = integrator.run(m, steps_per_level, rng)
+        h_sw[np.isnan(h_sw) & (m[:, 2] < 0.0)] = level
+        if not np.isnan(h_sw).any():
+            return float(h_sw[0]) if np.ndim(psi) == 0 else h_sw
     raise SimulationError(
-        f"no switching up to {h_max_ratio} * Hk at psi={psi:.3f} rad; "
-        "increase h_max_ratio")
+        f"no switching up to {h_max_ratio} * Hk at "
+        f"psi={psis[np.isnan(h_sw)][0]:.3f} rad; increase h_max_ratio")

@@ -20,6 +20,7 @@ ensembles integrate in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,12 @@ class MacrospinParameters:
         )
 
 
+def precession_period(h):
+    """Larmor precession period [s] of a moment in the field ``h`` [A/m]:
+    the time scale every time step of the package is derived from."""
+    return 2.0 * math.pi / (GYROMAGNETIC_RATIO * MU0 * h)
+
+
 def effective_field(m, hk, h_applied=None):
     """Deterministic effective field [A/m] for magnetization ``m``.
 
@@ -144,13 +151,26 @@ def llgs_rhs(m, h_eff, params, a_j=0.0, p_direction=(0.0, 0.0, 1.0)):
     h = np.asarray(h_eff, dtype=float)
     p = np.asarray(p_direction, dtype=float)
 
-    m_cross_h = np.cross(m, h)
-    m_cross_m_cross_h = np.cross(m, m_cross_h)
+    m_cross_h = _cross(m, h)
+    m_cross_m_cross_h = _cross(m, m_cross_h)
     rhs = -(m_cross_h + params.alpha * m_cross_m_cross_h)
     if a_j != 0.0:
-        m_cross_p = np.cross(m, np.broadcast_to(p, m.shape))
-        m_cross_m_cross_p = np.cross(m, m_cross_p)
+        m_cross_p = _cross(m, p)
+        m_cross_m_cross_p = _cross(m, m_cross_p)
         # Slonczewski damping-like torque plus its small alpha-tilt partner.
         rhs = rhs - a_j * (m_cross_m_cross_p
                            - params.alpha * m_cross_p)
     return params.gamma_prime * rhs
+
+
+def _cross(a, b):
+    """``np.cross(a, b)`` bit for bit (same products, same order) without
+    its per-call axis bookkeeping, which dominates on small arrays."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    a1_b2 = a1 * b2
+    out = np.empty(a1_b2.shape + (3,))
+    np.subtract(a1_b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out

@@ -11,6 +11,8 @@ field
 
 (nearest neighbors j, cell size ``a``, exchange stiffness ``A_ex``), with
 each cell seeing the *local* stray field sampled from the coupling model.
+The sum gathers over :attr:`FLGrid.neighbor_table`, and the grid steps
+through the same Heun stepper as the single macrospin.
 It is not a replacement for OOMMF/mumax3 — it is the smallest model that
 can express the paper's non-uniformity observation dynamically.
 """
@@ -18,16 +20,16 @@ can express the paper's non-uniformity observation dynamically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..constants import GYROMAGNETIC_RATIO, MU0
-from ..errors import ParameterError, SimulationError
+from ..constants import MU0
+from ..errors import ParameterError
 from ..validation import require_int_in_range, require_positive
-from .macrospin import MacrospinParameters
-from .stt import slonczewski_field
-from .thermal_field import thermal_field_sigma
+from .integrator import heun_step, require_resolved_dt, switching_steps
+from .macrospin import MacrospinParameters, precession_period
+from .stt import slonczewski_field, stt_critical_current
 
 #: Typical CoFeB exchange stiffness [J/m].
 DEFAULT_EXCHANGE_STIFFNESS = 1.5e-11
@@ -56,6 +58,19 @@ class FLGrid:
         """Number of cells."""
         return self.positions.shape[0]
 
+    @property
+    def neighbor_table(self):
+        """(N, 4) neighbour indices of each cell, in fidimag's ``ngbs``
+        order -x, +x, -y, +y; a missing neighbour is the cell itself."""
+        table = np.repeat(np.arange(self.n_cells)[:, None], 4, axis=1)
+        for i, j in self.neighbors:
+            dx, dy = self.positions[j] - self.positions[i]
+            slot, offset = (0, dx) if abs(dx) > abs(dy) else (2, dy)
+            forward = int(offset > 0)
+            table[i, slot + forward] = j
+            table[j, slot + 1 - forward] = i
+        return table
+
 
 def make_fl_grid(radius, n_across=7):
     """Discretize a disk of ``radius`` into an ``n_across``-wide grid."""
@@ -67,10 +82,9 @@ def make_fl_grid(radius, n_across=7):
     index_of = {}
     for iy, y in enumerate(coords):
         for ix, x in enumerate(coords):
-            if math.hypot(x, y) <= radius - 0.5 * cell * 0.0:
-                if math.hypot(x, y) <= radius:
-                    index_of[(ix, iy)] = len(inside)
-                    inside.append((x, y))
+            if math.hypot(x, y) <= radius:
+                index_of[(ix, iy)] = len(inside)
+                inside.append((x, y))
     neighbors = []
     for (ix, iy), i in index_of.items():
         for dx, dy in ((1, 0), (0, 1)):
@@ -112,11 +126,8 @@ class MultiMacrospinFL:
         require_positive(exchange_stiffness, "exchange_stiffness")
         self.grid = grid
         self.thickness = float(thickness)
-        cell_volume = grid.cell_size ** 2 * self.thickness
-        self.params = MacrospinParameters(
-            ms=params.ms, hk=params.hk, volume=cell_volume,
-            alpha=params.alpha, eta=params.eta,
-            temperature=params.temperature)
+        self.params = replace(params,
+                              volume=grid.cell_size ** 2 * self.thickness)
         self.exchange_field_scale = (
             2.0 * exchange_stiffness
             / (MU0 * params.ms * grid.cell_size ** 2))
@@ -128,67 +139,32 @@ class MultiMacrospinFL:
             if self.hz_local.shape != (grid.n_cells,):
                 raise ParameterError(
                     "hz_profile must return one Hz per grid cell")
-        # Vectorized exchange bookkeeping.
-        if grid.neighbors:
-            pairs = np.asarray(grid.neighbors, dtype=np.intp)
-            self._nb_i = pairs[:, 0]
-            self._nb_j = pairs[:, 1]
-        else:
-            self._nb_i = np.empty(0, dtype=np.intp)
-            self._nb_j = np.empty(0, dtype=np.intp)
+        self._neighbor_table = grid.neighbor_table
+        # The stiffest mode precesses in Hk *plus* the exchange field of 4
+        # fully-misaligned neighbors, which dominates on fine grids.
+        self._stiff_field = (
+            self.params.hk + 4.0 * self.exchange_field_scale
+            + float(np.max(np.abs(self.hz_local), initial=0.0)))
 
     @property
     def total_critical_current(self):
         """STT threshold [A] of the whole grid (geometric volume)."""
-        from ..constants import ELEMENTARY_CHARGE, HBAR
-        total_volume = self.params.volume * self.grid.n_cells
-        return (2.0 * ELEMENTARY_CHARGE * MU0 * self.params.ms
-                * total_volume * self.params.alpha * self.params.hk
-                / (HBAR * self.params.eta))
+        return stt_critical_current(replace(
+            self.params, volume=self.params.volume * self.grid.n_cells))
 
     def effective_field(self, m):
-        """Per-cell effective field [A/m]: anisotropy + local + exchange."""
-        h = np.zeros_like(m)
-        h[:, 2] = self.params.hk * m[:, 2] + self.hz_local
-        if self._nb_i.size:
-            diff = self.exchange_field_scale * (m[self._nb_j]
-                                                - m[self._nb_i])
-            np.add.at(h, self._nb_i, diff)
-            np.subtract.at(h, self._nb_j, diff)
+        """Per-cell field [A/m] of ``m`` (..., N, 3): anisotropy + local +
+        exchange."""
+        h = self.exchange_field_scale * np.add.reduce(
+            m[..., self._neighbor_table, :] - m[..., None, :], axis=-2)
+        h[..., 2] += self.params.hk * m[..., 2] + self.hz_local
         return h
 
     def step(self, m, dt, rng=None, a_j=0.0):
-        """One Heun step of the coupled system; returns the new state."""
-        require_positive(dt, "dt")
-        gamma_prime = self.params.gamma_prime
-        alpha = self.params.alpha
-
-        h_th = 0.0
-        if rng is not None:
-            sigma = thermal_field_sigma(self.params, dt)
-            h_th = sigma * rng.standard_normal(m.shape)
-
-        def rhs(state):
-            h = self.effective_field(state) + h_th
-            mxh = np.cross(state, h)
-            mxmxh = np.cross(state, mxh)
-            out = -(mxh + alpha * mxmxh)
-            if a_j != 0.0:
-                p = np.array([0.0, 0.0, 1.0])
-                mxp = np.cross(state, np.broadcast_to(p, state.shape))
-                mxmxp = np.cross(state, mxp)
-                out -= a_j * (mxmxp - alpha * mxp)
-            return gamma_prime * out
-
-        k1 = rhs(m)
-        pred = m + dt * k1
-        pred /= np.linalg.norm(pred, axis=1, keepdims=True)
-        k2 = rhs(pred)
-        new = m + 0.5 * dt * (k1 + k2)
-        norm = np.linalg.norm(new, axis=1, keepdims=True)
-        if not np.all(np.isfinite(norm)):
-            raise SimulationError("multispin state became non-finite")
-        return new / norm
+        """One Heun step of ``m`` (..., N, 3), thermal if ``rng`` is given;
+        ``dt`` must resolve the stiffest precession."""
+        return heun_step(m, require_resolved_dt(dt, self._stiff_field),
+                         self.effective_field, self.params, a_j=a_j, rng=rng)
 
     def uniform_state(self, mz=1.0):
         """All cells aligned along ``mz`` = +/-1."""
@@ -197,44 +173,38 @@ class MultiMacrospinFL:
         return m
 
     def average_mz(self, m):
-        """Volume-averaged mz (all cells equal volume)."""
-        return float(np.mean(m[:, 2]))
+        """Volume-averaged mz of ``m`` (..., N, 3); all cells equal volume."""
+        return np.mean(m[..., 2], axis=-1)
 
     def default_time_step(self, resolution=60.0):
-        """A step resolving the fastest precession in the system.
-
-        The stiffest mode precesses in the anisotropy field *plus* the
-        exchange field of up to 4 fully-misaligned neighbors; for fine
-        grids the exchange term dominates and a step based on ``Hk``
-        alone is unstable.
-        """
-        h_max = (self.params.hk + 4.0 * self.exchange_field_scale
-                 + float(np.max(np.abs(self.hz_local), initial=0.0)))
-        period = 2.0 * math.pi / (GYROMAGNETIC_RATIO * MU0 * h_max)
-        return period / resolution
+        """A step resolving the stiffest precession by ``resolution``."""
+        return precession_period(self._stiff_field) / resolution
 
     def switch(self, current, max_time=60e-9, dt=None, rng=None,
                threshold=0.5, initial_mz=-1.0):
         """Drive the grid with an STT current until net reversal.
 
         ``current`` is the total junction current [A], shared equally by
-        the cells. Returns the switching time [s] or None.
+        the cells. The grid switches when its average ``mz`` crosses
+        ``threshold`` in (0, 1) toward ``-initial_mz`` (+/-1). Returns the
+        switching time [s] or None.
         """
-        if dt is None:
-            dt = self.default_time_step()
+        dt = require_resolved_dt(
+            self.default_time_step() if dt is None else dt, self._stiff_field)
         rng = np.random.default_rng(rng)
-        per_cell = current / self.grid.n_cells
-        a_j = slonczewski_field(per_cell, self.params.eta,
+        a_j = slonczewski_field(current / self.grid.n_cells, self.params.eta,
                                 self.params.ms, self.params.volume)
         m = self.uniform_state(initial_mz)
         # Thermal tilt to break the symmetric stall.
         m[:, 0] += 0.02 * rng.standard_normal(self.grid.n_cells)
         m /= np.linalg.norm(m, axis=1, keepdims=True)
 
-        n_steps = int(math.ceil(max_time / dt))
-        target = -float(initial_mz)
-        for step_idx in range(n_steps):
-            m = self.step(m, dt, rng=rng, a_j=a_j)
-            if target * self.average_mz(m) >= threshold:
-                return (step_idx + 1) * dt
-        return None
+        # A one-member ensemble whose mz is the cell average; each step
+        # runs on the bare (N, 3) grid, where numpy's per-call cost is
+        # about half that on (1, N, 3).
+        steps = switching_steps(
+            lambda state: heun_step(state[0], dt, self.effective_field,
+                                    self.params, a_j=a_j, rng=rng)[None],
+            m[np.newaxis], self.average_mz, dt, max_time,
+            threshold=threshold, initial_mz=initial_mz)
+        return float(steps[0] * dt) if steps[0] > 0 else None

@@ -9,21 +9,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..constants import GYROMAGNETIC_RATIO, MU0
-from ..errors import ParameterError, SimulationError
+from ..errors import SimulationError
 from ..validation import require_int_in_range, require_positive
-from .integrator import HeunIntegrator
+from .integrator import HeunIntegrator, switching_steps
+from .macrospin import precession_period
 from .stt import slonczewski_field
 
 
 def default_time_step(params, resolution=60.0):
-    """A time step resolving the precession period by ``resolution``."""
-    period = 2.0 * math.pi / (GYROMAGNETIC_RATIO * MU0 * params.hk)
-    return period / resolution
+    """A time step resolving the precession in ``Hk`` by ``resolution``."""
+    return precession_period(params.hk) / resolution
 
 
 def thermal_initial_tilt(params, rng, n, around=-1.0):
@@ -90,7 +88,8 @@ class SwitchingSimulation:
     hz_applied:
         Constant out-of-plane stray/applied field [A/m].
     dt:
-        Time step [s] (default: precession period / 60).
+        Time step [s] (default: precession period in ``Hk`` / 60); must
+        resolve the precession in ``Hk + |hz_applied|``.
     thermal:
         Include the thermal field (default True).
     """
@@ -100,17 +99,14 @@ class SwitchingSimulation:
         self.params = params
         self.current = float(current)
         self.hz_applied = float(hz_applied)
-        self.dt = default_time_step(params) if dt is None else float(dt)
-        require_positive(self.dt, "dt")
         self.thermal = thermal
-
-    def _integrator(self):
         a_j = slonczewski_field(
-            self.current, self.params.eta, self.params.ms,
-            self.params.volume)
-        h_applied = np.array([0.0, 0.0, self.hz_applied])
-        return HeunIntegrator(self.params, self.dt, h_applied=h_applied,
-                              a_j=a_j, thermal=self.thermal)
+            self.current, params.eta, params.ms, params.volume)
+        self._integrator = HeunIntegrator(
+            params, default_time_step(params) if dt is None else dt,
+            h_applied=np.array([0.0, 0.0, self.hz_applied]), a_j=a_j,
+            thermal=thermal)
+        self.dt = self._integrator.dt
 
     def run(self, n_runs=64, max_time=100.0e-9, threshold=0.5, rng=None,
             initial_mz=-1.0):
@@ -124,8 +120,8 @@ class SwitchingSimulation:
             Simulation horizon [s]; runs that have not switched by then are
             counted as not switched.
         threshold:
-            ``mz`` crossing that defines a switch (sign opposite to
-            ``initial_mz``).
+            ``mz`` crossing in (0, 1) that defines a switch (sign opposite
+            to ``initial_mz``).
         rng:
             Seed or :class:`numpy.random.Generator`.
         initial_mz:
@@ -136,30 +132,15 @@ class SwitchingSimulation:
         SwitchingResult
         """
         n_runs = require_int_in_range(n_runs, "n_runs", 1, 1_000_000)
-        require_positive(max_time, "max_time")
-        if initial_mz not in (-1.0, 1.0, -1, 1):
-            raise ParameterError(
-                f"initial_mz must be -1 or +1, got {initial_mz!r}")
         rng = np.random.default_rng(rng)
-
-        integrator = self._integrator()
         m = thermal_initial_tilt(self.params, rng, n_runs,
                                  around=float(initial_mz))
-        n_steps = int(math.ceil(max_time / self.dt))
-        switch_step = np.full(n_runs, -1, dtype=np.int64)
-        active = np.ones(n_runs, dtype=bool)
-        target_sign = -float(initial_mz)
-
-        for step in range(n_steps):
-            if not np.any(active):
-                break
-            m[active] = integrator.step(m[active], rng)
-            crossed = active & (target_sign * m[:, 2] >= threshold)
-            switch_step[crossed] = step + 1
-            active &= ~crossed
-
-        switched = switch_step > 0
-        times = switch_step[switched].astype(float) * self.dt
+        steps = switching_steps(
+            lambda state: self._integrator.step(state, rng), m,
+            lambda state: state[:, 2], self.dt, max_time,
+            threshold=threshold, initial_mz=initial_mz)
+        switched = steps > 0
+        times = steps[switched].astype(float) * self.dt
         return SwitchingResult(times=times, n_runs=n_runs,
                                n_switched=int(np.sum(switched)))
 
@@ -172,14 +153,11 @@ def relax(params, m0, duration, rng=None, hz_applied=0.0, thermal=False,
     deterministic damped motion toward the easy axis.
     """
     require_positive(duration, "duration")
-    dt = default_time_step(params) if dt is None else float(dt)
     rng = np.random.default_rng(rng)
     integrator = HeunIntegrator(
-        params, dt, h_applied=np.array([0.0, 0.0, float(hz_applied)]),
-        a_j=0.0, thermal=thermal)
-    n_steps = int(math.ceil(duration / dt))
-    m, _ = integrator.run(np.asarray(m0, dtype=float), n_steps, rng)
-    return m
+        params, default_time_step(params) if dt is None else dt,
+        h_applied=[0.0, 0.0, float(hz_applied)], thermal=thermal)
+    return integrator.run(m0, math.ceil(duration / integrator.dt), rng)
 
 
 def equilibrium_ensemble(params, n_samples=512, burn_in_time=2.0e-9,
@@ -194,16 +172,17 @@ def equilibrium_ensemble(params, n_samples=512, burn_in_time=2.0e-9,
     check ``<mx^2> = 1/(2 Delta)``.
     """
     rng = np.random.default_rng(rng)
-    dt = default_time_step(params) if dt is None else float(dt)
-    integrator = HeunIntegrator(params, dt, thermal=True)
+    integrator = HeunIntegrator(
+        params, default_time_step(params) if dt is None else dt,
+        thermal=True)
+    dt = integrator.dt
 
     m = thermal_initial_tilt(params, rng, n_samples, around=around)
-    burn_steps = int(math.ceil(burn_in_time / dt))
-    m, _ = integrator.run(m, burn_steps, rng)
+    m = integrator.run(m, int(math.ceil(burn_in_time / dt)), rng)
 
     snapshots = []
     steps_between = max(1, int(math.ceil(sample_time / dt / n_snapshots)))
     for _ in range(n_snapshots):
-        m, _ = integrator.run(m, steps_between, rng)
-        snapshots.append(m.copy())
+        m = integrator.run(m, steps_between, rng)
+        snapshots.append(m)
     return np.concatenate(snapshots, axis=0)

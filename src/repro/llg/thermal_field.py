@@ -34,8 +34,3 @@ def thermal_field_sigma(params, dt):
                    * params.volume * dt)
     return math.sqrt(numerator / denominator)
 
-
-def sample_thermal_field(params, dt, rng, shape):
-    """Draw thermal field vectors of ``shape + (3,)`` [A/m]."""
-    sigma = thermal_field_sigma(params, dt)
-    return sigma * rng.standard_normal(tuple(shape) + (3,))

@@ -10,6 +10,7 @@ acceptance criterion of the memsys pitch sweep).
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -309,6 +310,30 @@ class TestProcessBoundary:
         value = store.kernel(build_reference_stack(55e-9), OFFSET, "fl")
         assert value == child_value
         assert store.stats()["disk_hits"] == 1
+
+    def test_cold_process_warms_a_fresh_process(self, tmp_path):
+        """A cold process's seeded pitch sweep populates the disk cache;
+        the same sweep in a fresh process is served by the disk tier."""
+        sweep = (
+            "import json\n"
+            "from repro.arrays.kernel_store import get_kernel_store\n"
+            "from repro.device import MTJDevice, PAPER_EVAL_DEVICE\n"
+            "from repro.memsys import uber_sweep\n"
+            "uber_sweep(MTJDevice(PAPER_EVAL_DEVICE),\n"
+            "           pitch_ratios=(3.0, 2.0, 1.5),\n"
+            "           patterns=('solid0',), rows=16, cols=16, seed=3)\n"
+            "print(json.dumps(get_kernel_store().stats()))\n")
+        cold = json.loads(self._run_child(tmp_path, sweep).splitlines()[-1])
+        assert cold["misses"] > 0
+        self._run_child(tmp_path, "from repro.cli import main\n"
+                                  "raise SystemExit(main(['cache', 'info']))")
+
+        stats = json.loads(self._run_child(tmp_path, sweep).splitlines()[-1])
+        served = stats["hits"] + stats["disk_hits"]
+        total = served + stats["misses"]
+        assert stats["disk_hits"] > 0, "disk cache never hit"
+        assert served / total >= 0.90, f"hit rate {served / total:.2f}"
+        assert stats["disk_fallbacks"] == 0, stats
 
     def test_pool_workers_persist_their_kernels(self, global_store,
                                                 monkeypatch, tmp_path):

@@ -186,6 +186,36 @@ class TestSwitching:
         with pytest.raises(ParameterError):
             sim.run(n_runs=2, initial_mz=0.5, rng=0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"threshold": -1.0}, "threshold"),
+        ({"threshold": 0.0}, "threshold"),
+        ({"threshold": 1.0}, "threshold"),
+        ({"threshold": 1.5}, "threshold"),
+        ({"max_time": 0.0}, "max_time"),
+        ({"max_time": -1e-9}, "max_time"),
+        ({"initial_mz": 0.0}, "initial_mz"),
+    ])
+    def test_bad_switching_inputs(self, params, kwargs, name):
+        sim = SwitchingSimulation(params, current=90e-6)
+        with pytest.raises(ParameterError, match=name):
+            sim.run(n_runs=2, rng=0, **kwargs)
+
+    def test_unresolved_dt_rejected_up_front(self, params):
+        # 5e-11 s is 1.5 steps per precession period: the run would
+        # alias the precession and report no switching at all.
+        with pytest.raises(ParameterError, match="dt"):
+            SwitchingSimulation(params, current=90e-6, dt=5e-11)
+        with pytest.raises(ParameterError, match="dt"):
+            relax(params, np.array([0.6, 0.0, 0.8]), 1e-9, dt=5e-11)
+
+    def test_applied_field_shortens_the_resolved_period(self, params):
+        # 12 steps per period in Hk alone, but 6 in Hk + |Hz| = 2 Hk.
+        dt = default_time_step(params, resolution=12.0)
+        SwitchingSimulation(params, current=90e-6, dt=dt)
+        with pytest.raises(ParameterError, match="dt"):
+            SwitchingSimulation(params, current=90e-6, dt=dt,
+                                hz_applied=params.hk)
+
     def test_result_statistics_require_switches(self, params):
         sim = SwitchingSimulation(params, current=20e-6, thermal=False)
         result = sim.run(n_runs=2, max_time=5e-9, rng=0)

@@ -53,17 +53,30 @@ class TestAstroid:
         np.testing.assert_allclose(h, [1.0, 0.5, 1.0], rtol=1e-9)
 
 
+ASTROID_ANGLES = (math.pi / 4, math.pi / 6)
+
+
+@pytest.fixture(scope="module")
+def llg_switching_fields(params):
+    """One ramp over both validation angles, ramped as one ensemble."""
+    fields = simulate_switching_field(params, np.array(ASTROID_ANGLES),
+                                      n_steps=40)
+    return dict(zip(ASTROID_ANGLES, fields.tolist()))
+
+
 class TestLLGValidation:
     @pytest.mark.slow
-    def test_llg_matches_astroid_at_45_degrees(self, params):
-        hsw = simulate_switching_field(params, math.pi / 4, n_steps=40)
+    def test_llg_matches_astroid_at_45_degrees(self, params,
+                                               llg_switching_fields):
+        hsw = llg_switching_fields[math.pi / 4]
         expected = astroid_switching_field(math.pi / 4, params.hk)
         assert hsw == pytest.approx(expected, rel=0.10)
 
     @pytest.mark.slow
-    def test_llg_matches_astroid_at_30_degrees(self, params):
+    def test_llg_matches_astroid_at_30_degrees(self, params,
+                                               llg_switching_fields):
         psi = math.pi / 6
-        hsw = simulate_switching_field(params, psi, n_steps=40)
+        hsw = llg_switching_fields[psi]
         expected = astroid_switching_field(psi, params.hk)
         assert hsw == pytest.approx(expected, rel=0.10)
 
@@ -71,6 +84,17 @@ class TestLLGValidation:
         with pytest.raises(SimulationError):
             simulate_switching_field(params, math.pi / 4,
                                      h_max_ratio=0.2, n_steps=5)
+
+    def test_scalar_angle_returns_float(self, params):
+        hsw = simulate_switching_field(params, math.pi / 4, n_steps=4,
+                                       relax_time=0.5e-9)
+        assert type(hsw) is float
+
+    def test_unreachable_ramp_names_the_stuck_angle(self, params):
+        with pytest.raises(SimulationError, match="psi=0.100"):
+            simulate_switching_field(params, np.array([math.pi / 4, 0.1]),
+                                     h_max_ratio=0.6, n_steps=3,
+                                     relax_time=0.5e-9)
 
     def test_angle_validation(self, params):
         with pytest.raises(ParameterError):

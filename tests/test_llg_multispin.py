@@ -99,6 +99,38 @@ class TestDynamics:
         assert float(np.std(m[:, 0])) < 0.2 * spread0
         assert fl.average_mz(m) > 0.99
 
+    def test_exchange_gather_matches_pair_sum(self, params, grid, device):
+        """The neighbour-table gather is the pairwise exchange sum
+        ``sum_j (m_j - m_i)`` over the grid's neighbour pairs."""
+        fl = make_fl(params, grid, device)
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((grid.n_cells, 3))
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        expected = np.zeros_like(m)
+        for i, j in grid.neighbors:
+            expected[i] += m[j] - m[i]
+            expected[j] += m[i] - m[j]
+        expected *= fl.exchange_field_scale
+        expected[:, 2] += params.hk * m[:, 2]
+        np.testing.assert_allclose(fl.effective_field(m), expected,
+                                   rtol=1e-12, atol=1e-6)
+
+    def test_neighbor_table_layout(self, grid):
+        table = grid.neighbor_table
+        cells = np.arange(grid.n_cells)
+        assert table.shape == (grid.n_cells, 4)
+        # Each pair appears once per direction; missing neighbours pad
+        # with the cell's own index.
+        real = table != cells[:, None]
+        assert real.sum() == 2 * len(grid.neighbors)
+        offsets = grid.positions[table] - grid.positions[:, None, :]
+        step = grid.cell_size
+        for slot, (dx, dy) in enumerate(
+                ((-step, 0), (step, 0), (0, -step), (0, step))):
+            np.testing.assert_allclose(
+                offsets[real[:, slot], slot], [(dx, dy)] * int(
+                    real[:, slot].sum()), atol=1e-12 * step)
+
     def test_threshold_matches_geometric_macrospin(self, params, grid,
                                                    device):
         fl = make_fl(params, grid, device)
@@ -145,6 +177,26 @@ class TestSwitching:
         t_flat = fl_flat.switch(current, max_time=30e-9, rng=5)
         assert t_real is not None and t_flat is not None
         assert t_real != pytest.approx(t_flat, rel=1e-3)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"threshold": -1.0}, "threshold"),
+        ({"threshold": 1.5}, "threshold"),
+        ({"max_time": 0.0}, "max_time"),
+        ({"initial_mz": 0.0}, "initial_mz"),
+    ])
+    def test_bad_switch_inputs(self, params, grid, device, kwargs, name):
+        fl = make_fl(params, grid, device)
+        with pytest.raises(ParameterError, match=name):
+            fl.switch(2.0 * fl.total_critical_current, rng=0, **kwargs)
+
+    def test_unresolved_dt_rejected_up_front(self, params, grid, device):
+        # 2e-12 s is ~6.6 steps per exchange-stiff precession period; it
+        # would report a spurious switch at 0.8 ns.
+        fl = make_fl(params, grid, device)
+        with pytest.raises(ParameterError, match="dt"):
+            fl.switch(2.0 * fl.total_critical_current, dt=2e-12, rng=0)
+        with pytest.raises(ParameterError, match="dt"):
+            fl.step(fl.uniform_state(-1.0), 2e-12)
 
     def test_local_field_profile_loaded(self, params, grid, device):
         intra = IntraCellModel()
